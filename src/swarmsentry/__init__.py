@@ -47,6 +47,7 @@ from .detectors import (
     NlosDetector,
     RandomDetector,
     cdi,
+    detect,
     ecdi,
     nlos_baseline,
     random_baseline,

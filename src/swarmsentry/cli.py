@@ -13,20 +13,9 @@ import sys
 
 from . import serialize
 from .attacks import ATTACK_KINDS, build_attack
-from .detectors import (
-    ALGORITHMS,
-    CDI,
-    ECDI,
-    NLOS,
-    RANDOM,
-    DetectorOptions,
-    cdi,
-    ecdi,
-    nlos_baseline,
-    random_baseline,
-)
+from .detectors import ALGORITHMS, ECDI, DetectorOptions, detect
 from .experiments import ExperimentConfig, preset, rows_to_csv, rows_to_plot_data, run_sweep
-from .sdp import OracleOptions, check_feasibility
+from .sdp import check_feasibility
 from .suspects import build_reported_matrix, initial_suspects
 from .swarm import InvalidParameterError, NoiseParams, apply_position_noise, generate_swarm, measure_distances
 
@@ -72,24 +61,9 @@ def cmd_attack(args) -> int:
 
 def cmd_detect(args) -> int:
     scenario = serialize.scenario_from_dict(serialize.load_path(args.input))
-    e_r = build_reported_matrix(scenario)
-    initial = initial_suspects(e_r, scenario.measurements, scenario.swarm.comm_range)
+    initial = initial_suspects(build_reported_matrix(scenario), scenario.measurements, scenario.swarm.comm_range)
     options = DetectorOptions(paper_replication=args.paper_replication)
-    if args.algo == CDI:
-        result = cdi(initial, scenario, options)
-    elif args.algo == ECDI:
-        result = ecdi(initial, scenario, options)
-    else:
-        m = args.malicious_count
-        if m is None:
-            raise InvalidParameterError(f"--malicious-count is required for the {args.algo} baseline")
-        if args.algo == NLOS:
-            picked = nlos_baseline(e_r, scenario.measurements, m, args.seed)
-        else:
-            picked = random_baseline(initial.suspected, m, args.seed)
-        from .detectors import DetectionResult
-
-        result = DetectionResult(picked, iterations=0, oracle_calls=0, per_iteration_trace=())
+    result = detect(args.algo, scenario, initial, options, args.malicious_count, args.seed)
     payload = serialize.detection_to_dict(result, initial)
     payload["algorithm"] = args.algo
     if scenario.plan is not None:
@@ -119,8 +93,7 @@ def cmd_sweep(args) -> int:
 def cmd_oracle_check(args) -> int:
     data = serialize.load_path(args.input)
     problem = serialize.problem_from_dict(data)
-    opts = OracleOptions(max_iterations=args.max_iterations)
-    result = check_feasibility(problem, opts)
+    result = check_feasibility(problem)
     payload = serialize.oracle_result_to_dict(result)
     _write(args.out, serialize.dumps(payload))
     if args.dump:
@@ -178,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="decide feasibility of a dumped problem")
     p.add_argument("input", help="feasibility problem JSON")
-    p.add_argument("--max-iterations", type=int, default=20000)
     p.add_argument("--dump", default=None, help="write the dense constraint dump here")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_oracle_check)

@@ -1,4 +1,4 @@
-"""Operator-splitting engine for the lifted localization feasibility problem.
+"""Exact per-node phase-I solve for the lifted localization feasibility problem.
 
 The problem family: find a symmetric PSD matrix Z of size (3 + n) whose
 top-left 3x3 block is the identity, subject to interval bounds on the trace
@@ -7,31 +7,43 @@ local basis vector).  Functional values equal ||x_i - p_j||^2 + s_i under the
 lifting, where x_i is column i of the position block and s_i >= 0 is the
 Gram-diagonal surplus, so everything reduces to noisy ball geometry.
 
-The phase-I question "what is the minimal uniform relaxation t that makes the
-system feasible" is answered with certified two-sided bounds:
+The relaxation is separable per node: every functional touches one node's
+column and its Gram diagonal, measured against fixed reported anchors, and Z
+is PSD with an identity corner exactly when Y - X X^T is PSD, which
+Y = X X^T + diag(s) reaches for any s >= 0.  So the minimal uniform
+relaxation t* of the whole system is the maximum over nodes of each node's
+own optimum, a convex program in (x, y = ||x||^2 + s, t): linear constraints
+plus y >= ||x||^2.
 
-* upper bounds come from explicit witnesses: positions found by cyclic
-  projection sweeps, evaluated exactly and completed to an exactly-PSD Z;
-* lower bounds come from dual certificates: any nonnegative constraint
-  weights summing to one yield, in closed form, a PSD-completable dual
-  matrix and therefore a valid bound on the optimal slack;
-* in between, a parameter-free consensus ADMM on Z (parallel projections
-  onto the PSD cone, the identity block, and each slab, with dual updates)
-  refines both sides.
+That question is answered with certified two-sided bounds:
 
-Everything is deterministic: fixed iteration counts, fixed sweep orders, no
-time-based decisions.
+* a closed-form pairwise bound runs first and certifies most infeasible
+  sub-networks without any solve;
+* a node's own report, with its best Gram surplus, is its witness when it
+  already satisfies the tolerance;
+* every other node gets one deterministic log-barrier Newton solve on its
+  five variables.  Its primal point, evaluated exactly, is an upper bound;
+  its normalized central-path multipliers, fed to the node's closed-form
+  Lagrange dual, are a lower bound.
+
+Everything is deterministic: fixed schedules and step rules, no time-based
+decisions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 _BISECT_STEPS = 80
-_POCS_SWEEPS = 150
-_ASCENT_STEPS = 300
+# Each barrier stage shrinks the duality gap tenfold, from about the data
+# scale to about 1e-9 of it; later stages lose centering to rounding.
+_BARRIER_STAGES = 9
+_BARRIER_GROWTH = 10.0
+_NEWTON_STEPS = 50          # per stage; centering usually ends far sooner
+_NEWTON_DECREMENT = 1e-6
+_RETRACT_STEPS = 20
 
 
 @dataclass
@@ -57,16 +69,6 @@ class CompiledConstraints:
     def q(self) -> int:
         return len(self.owner)
 
-    def dim(self) -> int:
-        return 3 + self.n
-
-    def functional_vectors(self) -> np.ndarray:
-        """(q, 3+n) stacked v = [anchor; -e_owner] vectors."""
-        V = np.zeros((self.q, self.dim()))
-        V[:, :3] = self.anchor
-        V[np.arange(self.q), 3 + self.owner] = -1.0
-        return V
-
     def values_at(self, X: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
         """Functional values ||x_owner - anchor||^2 (+ s_owner) for positions X (n,3)."""
         diff = X[self.owner] - self.anchor
@@ -80,6 +82,21 @@ class CompiledConstraints:
         over = vals - self.hi
         under = self.lo - vals
         return float(np.max(np.maximum(over, under)))
+
+    def node(self, i: int) -> "CompiledConstraints":
+        """The one-node family of node ``i``: its pair functionals, then its
+        self functional, against the same fixed anchors."""
+        idx = np.nonzero(self.owner == i)[0]
+        return CompiledConstraints(
+            n=1,
+            positions=self.positions[i:i + 1],
+            owner=np.zeros(len(idx), dtype=int),
+            anchor=self.anchor[idx],
+            hi=self.hi[idx],
+            lo=self.lo[idx],
+            epsilon=self.epsilon,
+            n_pairs=len(idx) - 1,
+        )
 
 
 def compile_constraints(
@@ -162,20 +179,16 @@ def pairwise_slack_bound(cons: CompiledConstraints) -> float:
     return float(np.max(t_lo))
 
 
-def _node_functionals(cons: CompiledConstraints, node: int) -> np.ndarray:
-    return np.nonzero(cons.owner == node)[0]
+def dual_slack_bound(cons: CompiledConstraints, w_up: np.ndarray, w_lo: np.ndarray) -> float:
+    """Certified lower bound on a one-node family's slack from its dual weights.
 
-
-def _dual_bound_for_weights(
-    cons: CompiledConstraints, idx: np.ndarray, w_up: np.ndarray, w_lo: np.ndarray
-) -> float:
-    """Evaluate the certified slack bound for one node's dual weights.
-
-    Weights must be nonnegative and sum to one.  The bound comes from the
-    rank-one PSD completion of the compressed 4x4 dual matrix; validity needs
-    only the weight normalization and a positive corner coefficient.
+    Weights (one upper and one lower weight per functional) must be
+    nonnegative and sum to one.  The bound is the node problem's Lagrange
+    dual in closed form: the rank-one PSD completion of the compressed 4x4
+    dual matrix; validity needs only the weight normalization and a positive
+    corner coefficient.
     """
-    anchors = cons.anchor[idx]
+    anchors = cons.anchor
     sq = (anchors * anchors).sum(axis=1)
     sigma = w_up - w_lo
     c = float(np.sum(sigma))
@@ -183,246 +196,50 @@ def _dual_bound_for_weights(
         return -np.inf
     b = -(sigma[:, None] * anchors).sum(axis=0)
     trace_a = float(np.dot(sigma, sq))
-    lin = float(np.dot(w_lo, np.where(np.isfinite(cons.lo[idx]), cons.lo[idx], 0.0))
-                - np.dot(w_up, cons.hi[idx]))
+    lin = float(np.dot(w_lo, np.where(np.isfinite(cons.lo), cons.lo, 0.0))
+                - np.dot(w_up, cons.hi))
     return lin + trace_a - float(np.dot(b, b)) / c
 
 
-def _ascend_node_weights(
-    cons: CompiledConstraints, idx: np.ndarray, w0: np.ndarray, steps: int
-) -> float:
-    """Exponentiated-gradient ascent of the concave node dual from one start.
-
-    The gradient of the bound at weights w is exactly the vector of
-    constraint violations evaluated at the implied position p = -b/c, so the
-    multiplicative update concentrates weight on conflicting constraints.
-    """
-    k = len(idx)
-    has_lo = np.isfinite(cons.lo[idx])
-    anchors = cons.anchor[idx]
-    lo = np.where(has_lo, cons.lo[idx], 0.0)
-    hi = cons.hi[idx]
-    mask = np.concatenate([np.ones(k, bool), has_lo])
-
-    def rebalance(w: np.ndarray) -> np.ndarray:
-        """Keep the corner coefficient positive by topping up the self weight."""
-        w = np.where(mask, np.maximum(w, 0.0), 0.0)
-        total = float(w.sum())
-        if total <= 0:
-            w = mask.astype(float)
-            total = float(w.sum())
-        w /= total
-        c = float(w[:k].sum() - w[k:].sum())
-        if c < 0.02:
-            w[k - 1] += 0.02 - c  # self functional is always index k-1 of the ups
-            w /= w.sum()
-        return w
-
-    w = rebalance(w0.copy())
-    best = _dual_bound_for_weights(cons, idx, w[:k], w[k:])
-    for it in range(steps):
-        sigma = w[:k] - w[k:]
-        c = float(np.sum(sigma))
-        if c <= 1e-14:
-            w = rebalance(w)
-            continue
-        b = -(sigma[:, None] * anchors).sum(axis=0)
-        p = -b / c
-        dist_sq = ((anchors - p) ** 2).sum(axis=1)
-        grad = np.concatenate([dist_sq - hi, np.where(has_lo, lo - dist_sq, -np.inf)])
-        finite = np.isfinite(grad)
-        scale = float(np.max(np.abs(grad[finite]), initial=0.0))
-        if scale <= 0:
-            break
-        eta = 1.0 / (scale * (1.0 + it / 60.0))
-        w = w * np.exp(np.clip(eta * np.where(finite, grad, -50.0 * scale), -0.3, 0.3))
-        w = rebalance(w)
-        cand = _dual_bound_for_weights(cons, idx, w[:k], w[k:])
-        if cand > best:
-            best = cand
-    return best
-
-
-def node_dual_bound(
-    cons: CompiledConstraints,
-    node: int,
-    seed_weights: np.ndarray | None = None,
-    steps: int = _ASCENT_STEPS,
-) -> float:
-    """Best certified slack bound for one node's constraint family.
-
-    Runs the concave ascent from a few deterministic starts (uniform, the
-    lower-bound-heavy corner, and optionally weights harvested from the
-    matrix iteration's duals) and keeps the best certified value.
-    """
-    idx = _node_functionals(cons, node)
-    k = len(idx)
-    has_lo = np.isfinite(cons.lo[idx])
-    # Violation profile at the node's own report: the natural certificate point.
-    anchors = cons.anchor[idx]
-    here = cons.positions[node]
-    dist_sq = ((anchors - here) ** 2).sum(axis=1)
-    up_viol = np.maximum(dist_sq - cons.hi[idx], 0.0)
-    lo_viol = np.maximum(np.where(has_lo, cons.lo[idx] - dist_sq, -np.inf), 0.0)
-
-    starts = [np.ones(2 * k)]
-    profile = np.concatenate([up_viol, lo_viol]) + 1e-3 * max(
-        1e-12, float(up_viol.max(initial=0.0)), float(lo_viol.max(initial=0.0))
-    )
-    # Give the self functional enough mass that the corner coefficient starts
-    # positive regardless of how lower-bound-heavy the profile is.
-    profile[k - 1] = max(profile[k - 1], float(profile[k:].sum()) * 1.1 - float(profile[:k].sum()))
-    starts.append(profile)
-    if seed_weights is not None and float(seed_weights.sum()) > 0:
-        seeded = seed_weights.copy()
-        seeded[k - 1] = max(
-            seeded[k - 1], float(seeded[k:].sum()) * 1.1 - float(seeded[:k].sum())
-        )
-        starts.append(seeded)
-    best = -np.inf
-    for w0 in starts:
-        best = max(best, _ascend_node_weights(cons, idx, w0, steps))
-    return best
-
-
-def dual_slack_bound(
-    cons: CompiledConstraints,
-    nodes: np.ndarray | None = None,
-    slab_duals: np.ndarray | None = None,
-    steps: int = _ASCENT_STEPS,
-) -> float:
-    """Certified lower bound on the optimal slack: best single-node certificate.
-
-    Floored at zero like the pairwise bound: only positive values carry
-    information.
-
-    ``slab_duals`` optionally carries the per-functional displacement scalars
-    from the consensus iteration; their signs indicate which bound of each
-    slab is active and seed the ascent.
-    """
-    if nodes is None:
-        nodes = np.arange(cons.n)
-    best = 0.0
-    for node in nodes:
-        seed = None
-        if slab_duals is not None:
-            idx = _node_functionals(cons, int(node))
-            seed = np.concatenate([
-                np.maximum(-slab_duals[idx], 0.0),
-                np.maximum(slab_duals[idx], 0.0),
-            ])
-        best = max(best, node_dual_bound(cons, int(node), seed, steps))
-    return best
-
-
 # ---------------------------------------------------------------------------
-# Witness search (upper bounds)
+# Witnesses (upper bounds)
 # ---------------------------------------------------------------------------
 
-def refine_witness(cons: CompiledConstraints, X0: np.ndarray) -> np.ndarray:
-    """Cyclic projection sweeps, per node, toward constraint satisfaction.
-
-    Each node's feasible region is (ball around its report) intersected with
-    spherical shells around pair anchors.  Shell projections are radial and
-    closed-form; the outer-ball part of a shell is nonconvex, so this is a
-    heuristic search whose output is only ever used after exact evaluation.
-    """
-    X = np.array(X0, dtype=float)
-    eps_r = np.sqrt(cons.epsilon)
-    for node in range(cons.n):
-        idx = [int(q) for q in _node_functionals(cons, node) if q < cons.n_pairs]
-        if not idx:
-            X[node] = cons.positions[node]
-            continue
-        center = cons.positions[node]
-        x = X[node].copy()
-        anchors = cons.anchor[idx]
-        rmin = np.sqrt(np.maximum(0.0, cons.lo[idx]))
-        rmax = np.sqrt(np.maximum(0.0, cons.hi[idx]))
-        for _ in range(_POCS_SWEEPS):
-            moved = 0.0
-            # own displacement ball
-            delta = x - center
-            dist = np.linalg.norm(delta)
-            if dist > eps_r:
-                x = center + delta * (eps_r / dist)
-                moved = max(moved, dist - eps_r)
-            # pair shells
-            for a, r0, r1 in zip(anchors, rmin, rmax):
-                u = x - a
-                r = np.linalg.norm(u)
-                if r > r1:
-                    x = a + u * (r1 / r)
-                    moved = max(moved, r - r1)
-                elif r < r0:
-                    if r < 1e-15:
-                        direction = center - a
-                        norm = np.linalg.norm(direction)
-                        direction = direction / norm if norm > 1e-15 else np.array([1.0, 0.0, 0.0])
-                    else:
-                        direction = u / r
-                    x = a + direction * r0
-                    moved = max(moved, r0 - r)
-            if moved < 1e-15:
-                break
-        # Retract toward the node's report as far as its constraints allow:
-        # cyclic projection can settle deeper into the displacement ball than
-        # necessary, and recovered positions should hug the reports.
-        offset = x - center
-        length = np.linalg.norm(offset)
-        if length > 1e-15:
-            taus = np.linspace(0.0, 1.0, 33)
-            cands = center + taus[:, None] * offset
-            d_anchor = np.linalg.norm(cands[:, None, :] - anchors[None, :, :], axis=2)
-            ok = np.all((d_anchor >= rmin - 1e-15) & (d_anchor <= rmax + 1e-15), axis=1)
-            ok &= taus * length <= eps_r + 1e-15
-            hit = np.nonzero(ok)[0]
-            if len(hit):
-                x = cands[hit[0]]
-        X[node] = x
-    return X
+def _per_node_max(cons: CompiledConstraints, values: np.ndarray) -> np.ndarray:
+    out = np.full(cons.n, -np.inf)
+    np.maximum.at(out, cons.owner, values)
+    return out
 
 
 def best_gram_surplus(cons: CompiledConstraints, X: np.ndarray) -> np.ndarray:
     """Per-node Gram surplus minimizing the worst violation at positions X.
 
-    Violations are piecewise linear in the surplus s_i: upper ones grow,
-    lower ones shrink, and s_i is capped by the node's displacement budget.
-    The minimizer of the max is the midpoint of the binding envelope, clamped
-    to the budget.
+    Violations are piecewise linear in the surplus s_i: upper ones (the
+    node's own displacement bound among them) grow, lower ones shrink.  The
+    minimizer of the max is the midpoint of the two envelopes when the lower
+    one is higher, else zero.
     """
     vals = cons.values_at(X)
-    over = vals - cons.hi
-    under = np.where(np.isfinite(cons.lo), cons.lo - vals, -np.inf)
-    s = np.zeros(cons.n)
-    for node in range(cons.n):
-        idx = _node_functionals(cons, node)
-        if len(idx) < 2:
-            continue
-        # All upper-side terms (including the node's own displacement bound)
-        # grow with s, the lower-side terms shrink; the minimizer of the max
-        # is the midpoint of the two envelopes.
-        upper_env = float(np.max(over[idx]))
-        lower_env = float(np.max(under[idx]))
-        if np.isfinite(lower_env) and lower_env > upper_env:
-            s[node] = (lower_env - upper_env) / 2.0
-    return s
+    upper_env = _per_node_max(cons, vals - cons.hi)
+    lower_env = _per_node_max(cons, cons.lo - vals)
+    return np.where(lower_env > upper_env, (lower_env - upper_env) / 2.0, 0.0)
 
 
-def complete_lift(cons: CompiledConstraints, X: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
-    """Exactly-PSD lifted matrix with identity block, from explicit positions.
+def complete_lift(X: np.ndarray, gram_surplus: np.ndarray | None = None) -> np.ndarray:
+    """Lifted matrix [[I3, X^T], [X, X X^T + diag(surplus)]] for positions X (n, 3).
 
-    The Gram block is X X^T plus a nonnegative diagonal, so positive
-    semidefiniteness holds by construction (Schur complement is diag(s)).
+    Exactly PSD by construction: the Schur complement of the identity block
+    is the diagonal of the (clipped nonnegative) surplus.
     """
-    n = cons.n
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
     Z = np.zeros((3 + n, 3 + n))
     Z[:3, :3] = np.eye(3)
     Z[:3, 3:] = X.T
     Z[3:, :3] = X
     Z[3:, 3:] = X @ X.T
-    if s is not None:
-        Z[3:, 3:][np.diag_indices(n)] += np.maximum(s, 0.0)
+    if gram_surplus is not None:
+        Z[3:, 3:][np.diag_indices(n)] += np.maximum(np.asarray(gram_surplus, dtype=float), 0.0)
     return Z
 
 
@@ -430,159 +247,182 @@ def complete_lift(cons: CompiledConstraints, X: np.ndarray, s: np.ndarray | None
 class WitnessResult:
     X: np.ndarray
     s: np.ndarray
-    slack: float          # exact max violation with the surplus applied
+    node_slack: np.ndarray    # exact max violation per node with the surplus applied
 
-    def violated_nodes(self, cons: CompiledConstraints, cut: float = 0.0) -> np.ndarray:
-        vals = cons.values_at(self.X, self.s)
-        bad = (vals - cons.hi > cut) | (cons.lo - vals > cut)
-        return np.unique(cons.owner[bad])
+    @property
+    def slack(self) -> float:
+        return float(np.max(self.node_slack))
 
 
 def evaluate_witness(cons: CompiledConstraints, X: np.ndarray) -> WitnessResult:
     s = best_gram_surplus(cons, X)
-    return WitnessResult(X=X, s=s, slack=cons.max_violation(X, s))
+    vals = cons.values_at(X, s)
+    violation = np.maximum(vals - cons.hi, cons.lo - vals)
+    return WitnessResult(X=X, s=s, node_slack=_per_node_max(cons, violation))
 
 
 # ---------------------------------------------------------------------------
-# Consensus ADMM on the lifted matrix
+# The exact per-node solve
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SolveState:
-    """Bookkeeping for a phase-I solve."""
+class NodeBarrier:
+    """Log-barrier Newton state for one node's program (``cons.n == 1``).
 
-    iterations: int = 0
-    upper: float = np.inf
-    lower: float = 0.0
-    witness: WitnessResult | None = None
-    stalled: bool = False
-    notes: list[str] = field(default_factory=list)
-
-
-class ConsensusSolver:
-    """Parallel-projection ADMM over (PSD cone, identity block, slabs).
-
-    The consensus variable is the lifted matrix itself.  Each slab set only
-    ever moves the iterate along its rank-one functional direction, so the
-    per-set dual states reduce to one scalar each; the PSD cone and the
-    identity block keep dense dual blocks.  The scheme is parameter-free in
-    its scaled-dual form.
+    Variables v = (u, z, t), with u = x - report and z = ||u||^2 + s:
+    minimize t subject to every functional within t of its bounds (linear
+    residuals r = c + G v > 0) and z > ||u||^2.
     """
 
     def __init__(self, cons: CompiledConstraints):
         self.cons = cons
-        self.dim = cons.dim()
-        self.V = cons.functional_vectors()
-        self.gnorm = (self.V * self.V).sum(axis=1)       # ||v||^2 = Frobenius norm of v v^T
-        self.lo_z = np.where(np.isfinite(cons.lo), cons.lo, -np.inf) / self.gnorm
-        self.hi_z = cons.hi / self.gnorm
-        self.K = cons.q + 2
-        X0 = cons.positions
-        self.Z = complete_lift(cons, X0)
-        self.Z_prev = self.Z.copy()
-        self.s_slab = np.zeros(cons.q)                   # scalar dual per slab
-        self.S_psd = np.zeros((self.dim, self.dim))
-        self.S_block = np.zeros((3, 3))
+        d = cons.positions[0] - cons.anchor
+        dd = (d * d).sum(axis=1)
+        self.has_lo = np.isfinite(cons.lo)
+        ones = np.ones(cons.q)
+        self.G = np.vstack([
+            np.column_stack([-2.0 * d, -ones, ones]),
+            np.column_stack([2.0 * d, ones, ones])[self.has_lo],
+        ])
+        self.c = np.concatenate([cons.hi - dd, (dd - cons.lo)[self.has_lo]])
+        # Start at the report with every residual at least the data's own scale.
+        scale = float(np.max(np.abs(self.c))) + cons.epsilon + 1e-12
+        self.v = np.array([0.0, 0.0, 0.0, scale, 0.0])
+        self.v[4] = scale - float(np.min(self.residuals()))
+        self.tau = float(np.sum(1.0 / self.residuals()))  # zeroes the t-gradient at the start
 
-    def iterate(self, steps: int) -> None:
+    def residuals(self) -> np.ndarray:
+        return self.c + self.G @ self.v
+
+    def iterate(self, steps: int) -> bool:
+        """Center at the current barrier weight with at most ``steps`` damped
+        Newton steps on tau t - sum(log r) - log(z - ||u||^2).
+
+        The step length 1 / (1 + decrement) never leaves the barrier's domain
+        in exact arithmetic.  Returns False when rounding broke the stage (a
+        singular Newton system or a point outside the domain); bounds taken
+        after earlier stages still hold.
+        """
+        G, v = self.G, self.v
         for _ in range(steps):
-            C = 2.0 * self.Z - self.Z_prev
+            r = self.c + G @ v
+            u = v[:3]
+            cone = v[3] - u @ u
+            cone_grad = np.array([*(-2.0 * u), 1.0, 0.0])
+            Gs = G / r[:, None]
+            grad = -Gs.sum(axis=0) - cone_grad / cone
+            grad[4] += self.tau
+            H = Gs.T @ Gs + np.outer(cone_grad, cone_grad) / cone**2
+            H[:3, :3] += np.eye(3) * (2.0 / cone)
+            try:
+                step = -np.linalg.solve(H, grad)
+            except np.linalg.LinAlgError:
+                return False
+            decrement = float(np.sqrt(max(-grad @ step, 0.0)))
+            v = v + step / (1.0 + decrement)
+            if decrement < _NEWTON_DECREMENT:
+                break
+        self.v = v
+        return bool(np.all(self.residuals() > 0) and v[3] > v[:3] @ v[:3])
 
-            # PSD cone projection (eigenvalue clipping) of C - S_psd.
-            arg = C - self.S_psd
-            arg = 0.5 * (arg + arg.T)
-            vals, vecs = np.linalg.eigh(arg)
-            clipped = np.maximum(vals, 0.0)
-            x_psd = (vecs * clipped) @ vecs.T
-            p_psd = x_psd - arg
+    def dual_bound(self) -> float:
+        """Closed-form dual bound at the normalized central-path multipliers 1 / (tau r)."""
+        k = self.cons.q
+        weights = 1.0 / self.residuals()
+        weights /= weights.sum()
+        w_lo = np.zeros(k)
+        w_lo[self.has_lo] = weights[k:]
+        return dual_slack_bound(self.cons, weights[:k], w_lo)
 
-            # Identity block projection.
-            arg_blk = C[:3, :3] - self.S_block
-            p_blk = np.eye(3) - arg_blk
+    def position(self) -> np.ndarray:
+        return self.cons.positions + self.v[:3]
 
-            # Slab projections along each functional direction.
-            zeta = np.einsum("qi,ij,qj->q", self.V, C, self.V) / self.gnorm - self.s_slab
-            target = np.clip(zeta, self.lo_z, self.hi_z)
-            p_slab = target - zeta
 
-            # Consensus average of the projection displacements.
-            mean_p = p_psd.copy()
-            mean_p[:3, :3] += p_blk
-            scaled = self.V * (p_slab / self.gnorm)[:, None]
-            mean_p += scaled.T @ self.V
-            mean_p /= self.K
-            mean_p = 0.5 * (mean_p + mean_p.T)
+# bench/tracing.py times the barrier stages (and counts their Newton step
+# budgets) under the name of the consensus solver they replaced; drop this
+# alias once its stage list names NodeBarrier.
+ConsensusSolver = NodeBarrier
 
-            self.Z_prev = self.Z
-            self.Z = self.Z + mean_p
-            self.S_psd = p_psd
-            self.S_block = p_blk
-            self.s_slab = p_slab
 
-    def movement(self) -> float:
-        return float(np.max(np.abs(self.Z - self.Z_prev)))
+def solve_node(
+    cons: CompiledConstraints, tol_feas: float, tol_infeas: float
+) -> tuple[WitnessResult, float]:
+    """Certified bounds on the optimal slack of a one-node family (``cons.n == 1``).
 
-    def position_estimate(self) -> np.ndarray:
-        return self.Z[3:, :3].copy()
+    Runs the barrier stage by stage, growing its weight tenfold in between.
+    After each stage the position is evaluated exactly (upper bound) and the
+    multipliers go through the closed-form dual (lower bound).  Stops once
+    the upper bound proves the node feasible, the lower bound proves it
+    infeasible, or both lie inside the tolerance gap.  A witness that
+    satisfies every constraint outright is then retracted along the segment
+    toward the report as far as it keeps doing so, so recovered positions
+    stay close to the reports.
+    """
+    report = cons.positions[0]
+    barrier = NodeBarrier(cons)
+    best = evaluate_witness(cons, cons.positions.copy())
+    lower = -np.inf
+    for _ in range(_BARRIER_STAGES):
+        if not barrier.iterate(_NEWTON_STEPS):
+            break
+        lower = max(lower, barrier.dual_bound())
+        cand = evaluate_witness(cons, barrier.position())
+        if cand.slack < best.slack:
+            best = cand
+        if best.slack <= tol_feas or lower >= tol_infeas or (
+            lower > tol_feas and best.slack < tol_infeas
+        ):
+            break
+        barrier.tau *= _BARRIER_GROWTH
 
-    def active_nodes(self) -> np.ndarray:
-        """Nodes whose slab duals are non-negligible: dual certificate candidates."""
-        weight = np.abs(self.s_slab)
-        if float(np.max(weight, initial=0.0)) <= 0.0:
-            return np.arange(self.cons.n)
-        cutoff = 1e-6 * float(np.max(weight))
-        nodes = np.unique(self.cons.owner[weight > cutoff])
-        return nodes if len(nodes) else np.arange(self.cons.n)
+    target = min(tol_feas, 0.0)
+    if best.slack <= target:
+        # The node's exact slack is convex in its position, so the part of
+        # the segment from the report where it stays <= target is an
+        # interval ending at the witness: bisect for its near end.
+        offset = best.X[0] - report
+        near, far = 0.0, 1.0
+        for _ in range(_RETRACT_STEPS):
+            mid = 0.5 * (near + far)
+            cand = evaluate_witness(cons, (report + mid * offset)[None, :])
+            if cand.slack <= target:
+                far, best = mid, cand
+            else:
+                near = mid
+    return best, lower
+
+
+def refine_witness(
+    cons: CompiledConstraints, witness: WitnessResult, lower: float, tol_feas: float, tol_infeas: float
+) -> float:
+    """Replace, worst first, every node entry of ``witness`` that misses
+    ``tol_feas`` with its exact node solve, and return the call's lower bound
+    (``lower`` raised by each node's dual bound).  The first node proven
+    infeasible ends the loop.
+    """
+    for i in np.argsort(-witness.node_slack, kind="stable"):
+        if witness.node_slack[i] <= tol_feas:
+            break
+        found, node_lower = solve_node(cons.node(i), tol_feas, tol_infeas)
+        witness.X[i], witness.s[i], witness.node_slack[i] = found.X[0], found.s[0], found.node_slack[0]
+        lower = max(lower, node_lower)
+        if lower >= tol_infeas:
+            break
+    return lower
 
 
 def solve_phase1(
-    cons: CompiledConstraints,
-    max_iterations: int,
-    tol_feas: float,
-    tol_infeas: float,
-    check_every: int = 50,
-) -> SolveState:
-    """Two-sided phase-I solve: certified upper/lower slack bounds with early exit."""
-    state = SolveState()
+    cons: CompiledConstraints, tol_feas: float, tol_infeas: float
+) -> tuple[WitnessResult, float]:
+    """Certified bounds on the optimal phase-I slack of a sub-network.
 
-    state.lower = pairwise_slack_bound(cons)
-    witness = evaluate_witness(cons, refine_witness(cons, cons.positions))
-    state.witness = witness
-    state.upper = witness.slack
-    if state.lower >= tol_infeas or state.upper <= tol_feas:
-        return state
-    # Per-node certificates for the nodes the witness search failed on: cheap
-    # relative to the matrix iteration.
-    state.lower = max(state.lower, dual_slack_bound(cons, witness.violated_nodes(cons)))
-    if state.lower >= tol_infeas:
-        return state
-    if state.lower > tol_feas and state.upper < tol_infeas:
-        state.notes.append("slack bracketed inside tolerance gap")
-        return state
-
-    solver = ConsensusSolver(cons)
-    while state.iterations < max_iterations:
-        steps = min(check_every, max_iterations - state.iterations)
-        solver.iterate(steps)
-        state.iterations += steps
-
-        cand = evaluate_witness(cons, refine_witness(cons, solver.position_estimate()))
-        if cand.slack < state.upper:
-            state.upper = cand.slack
-            state.witness = cand
-        state.lower = max(
-            state.lower,
-            dual_slack_bound(cons, solver.active_nodes(), slab_duals=solver.s_slab, steps=120),
-        )
-
-        if state.upper <= tol_feas or state.lower >= tol_infeas:
-            return state
-        if state.lower > tol_feas and state.upper < tol_infeas:
-            state.notes.append("slack bracketed inside tolerance gap")
-            return state
-        if solver.movement() < 1e-14:
-            state.stalled = True
-            state.notes.append("consensus iteration stalled")
-            return state
-    state.notes.append("iteration budget exhausted")
-    return state
+    Returns the witness (its ``slack`` is the upper bound, the maximum over
+    nodes) and the lower bound (the pairwise bound or the largest node dual
+    bound, so floored at zero like the pairwise bound).  Each node starts
+    from its own report; the pairwise bound may settle the call before any
+    node is solved.
+    """
+    lower = pairwise_slack_bound(cons)
+    witness = evaluate_witness(cons, cons.positions.copy())
+    if lower < tol_infeas:
+        lower = refine_witness(cons, witness, lower, tol_feas, tol_infeas)
+    return witness, lower

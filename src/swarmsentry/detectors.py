@@ -31,7 +31,7 @@ from .suspects import (
     initial_suspects,
     violation_counts,
 )
-from .swarm import MeasurementSet, neighbor_set
+from .swarm import InvalidParameterError, MeasurementSet, neighbor_set
 from .validation import check_is_fitted, check_partition, check_scenario
 
 CDI = "cdi"
@@ -293,6 +293,35 @@ def _iterate(
     return run.result()
 
 
+def detect(
+    algo: str,
+    scenario: AttackedScenario,
+    initial: SuspectSets,
+    options: DetectorOptions | None = None,
+    malicious_count: int | None = None,
+    seed: int = 0,
+) -> DetectionResult:
+    """Run one named algorithm on a scenario from its initial partition.
+
+    The feasibility detectors take ``options``; the sampling baselines need
+    the true attacker count and draw from ``seed``.
+    """
+    if algo == CDI:
+        return cdi(initial, scenario, options)
+    if algo == ECDI:
+        return ecdi(initial, scenario, options)
+    if algo not in ALGORITHMS:
+        raise InvalidParameterError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+    if malicious_count is None:
+        raise InvalidParameterError(f"the {algo} baseline needs the true attacker count")
+    if algo == NLOS:
+        e_r = build_reported_matrix(scenario)
+        picked = nlos_baseline(e_r, scenario.measurements, malicious_count, seed)
+    else:
+        picked = random_baseline(initial.suspected, malicious_count, seed)
+    return DetectionResult(picked, iterations=0, oracle_calls=0, per_iteration_trace=())
+
+
 def nlos_baseline(
     e_r: ReportedDistanceMatrix,
     e_n: MeasurementSet,
@@ -354,6 +383,7 @@ class BaseDetector:
     """
 
     _params: tuple[str, ...] = ()
+    algorithm = ""   # the name ``detect`` runs
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._params}
@@ -423,19 +453,20 @@ class _FeasibilityDetector(BaseDetector):
             unknown_as_infeasible=self.unknown_as_infeasible,
         )
 
+    def _detect(self, scenario, initial):
+        return detect(self.algorithm, scenario, initial, self._options())
+
 
 class CdiDetector(_FeasibilityDetector):
     """Neighborhood-granularity feasibility detector."""
 
-    def _detect(self, scenario, initial):
-        return cdi(initial, scenario, self._options())
+    algorithm = CDI
 
 
 class EcdiDetector(_FeasibilityDetector):
     """Feasibility detector with per-UAV refinement of failed neighborhoods."""
 
-    def _detect(self, scenario, initial):
-        return ecdi(initial, scenario, self._options())
+    algorithm = ECDI
 
 
 class _SamplingDetector(BaseDetector):
@@ -445,19 +476,17 @@ class _SamplingDetector(BaseDetector):
         self.n_malicious = n_malicious
         self.seed = seed
 
+    def _detect(self, scenario, initial):
+        return detect(self.algorithm, scenario, initial, malicious_count=self.n_malicious, seed=self.seed)
+
 
 class NlosDetector(_SamplingDetector):
     """Discrepancy-ranked sampling baseline (receives the true attacker count)."""
 
-    def _detect(self, scenario, initial):
-        e_r = build_reported_matrix(scenario)
-        picked = nlos_baseline(e_r, scenario.measurements, self.n_malicious, self.seed)
-        return DetectionResult(picked, iterations=0, oracle_calls=0, per_iteration_trace=())
+    algorithm = NLOS
 
 
 class RandomDetector(_SamplingDetector):
     """Uniform-sampling baseline over the initial suspects."""
 
-    def _detect(self, scenario, initial):
-        picked = random_baseline(initial.suspected, self.n_malicious, self.seed)
-        return DetectionResult(picked, iterations=0, oracle_calls=0, per_iteration_trace=())
+    algorithm = RANDOM

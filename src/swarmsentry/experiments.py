@@ -16,18 +16,7 @@ import numpy as np
 
 from . import seeds
 from .attacks import ATTACK_KINDS, build_attack
-from .detectors import (
-    ALGORITHMS,
-    CDI,
-    ECDI,
-    NLOS,
-    RANDOM,
-    DetectorOptions,
-    cdi,
-    ecdi,
-    nlos_baseline,
-    random_baseline,
-)
+from .detectors import ALGORITHMS, DetectorOptions, detect
 from .metrics import malicious_ratio, precision_recall_f1
 from .suspects import build_reported_matrix, initial_suspects
 from .swarm import InvalidParameterError, NoiseParams, apply_position_noise, generate_swarm, measure_distances
@@ -160,8 +149,7 @@ def run_trial(config: ExperimentConfig, point_index: int, trial_index: int) -> T
     point = config.at_point(config.sweep_values[point_index])
     seed = trial_seed(config.base_seed, point_index, trial_index)
     scenario = build_scenario(point, seed)
-    e_r = build_reported_matrix(scenario)
-    initial = initial_suspects(e_r, scenario.measurements, scenario.swarm.comm_range)
+    initial = initial_suspects(build_reported_matrix(scenario), scenario.measurements, scenario.swarm.comm_range)
     truth = scenario.truth()
     r_m = malicious_ratio(initial)
     options = DetectorOptions(paper_replication=point.paper_replication)
@@ -169,22 +157,10 @@ def run_trial(config: ExperimentConfig, point_index: int, trial_index: int) -> T
     outcomes: dict[str, AlgoOutcome] = {}
     for algo in point.algorithms:
         start = time.perf_counter()
-        calls = 0
-        if algo == CDI:
-            res = cdi(initial, scenario, options)
-            predicted, calls = res.predicted_malicious, res.oracle_calls
-        elif algo == ECDI:
-            res = ecdi(initial, scenario, options)
-            predicted, calls = res.predicted_malicious, res.oracle_calls
-        elif algo == NLOS:
-            predicted = nlos_baseline(e_r, scenario.measurements, point.malicious_count, seed)
-        elif algo == RANDOM:
-            predicted = random_baseline(initial.suspected, point.malicious_count, seed)
-        else:  # pragma: no cover - guarded by config validation
-            raise InvalidParameterError(f"unknown algorithm {algo!r}")
+        res = detect(algo, scenario, initial, options, point.malicious_count, seed)
         elapsed_ms = (time.perf_counter() - start) * 1000.0 if point.timing else 0.0
-        p, r, f1 = precision_recall_f1(predicted, truth)
-        outcomes[algo] = AlgoOutcome(predicted, p, r, f1, calls, elapsed_ms)
+        p, r, f1 = precision_recall_f1(res.predicted_malicious, truth)
+        outcomes[algo] = AlgoOutcome(res.predicted_malicious, p, r, f1, res.oracle_calls, elapsed_ms)
     return TrialResult(config.sweep_values[point_index], trial_index, truth, r_m, outcomes)
 
 

@@ -11,6 +11,7 @@ the original system infeasible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,8 @@ import numpy as np
 from . import conic
 from .attacks import AttackedScenario
 from .swarm import InvalidParameterError
+
+lift_positions = conic.complete_lift
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -35,11 +38,8 @@ DEFAULT_DELTA = 1e-9
 
 @dataclass(frozen=True)
 class OracleOptions:
-    max_iterations: int = 20000
     tol_feas: float = 1e-6
     tol_infeas: float = 1e-4
-    tol_res: float = 1e-7
-    check_every: int = 50
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,23 @@ class FeasibilityProblem:
     def __post_init__(self):
         if not self.node_order:
             raise InvalidParameterError("sub-network must be nonempty")
+        scalars = (self.comm_range, self.epsilon, self.strictness_margin, self.window_sq)
+        if not all(math.isfinite(x) for x in scalars):
+            raise InvalidParameterError("range, epsilon, margin and window must be finite")
         if self.epsilon < 0 or self.strictness_margin <= 0 or self.comm_range <= 0:
             raise InvalidParameterError("need epsilon >= 0, margin > 0, range > 0")
+        try:
+            pos = np.array([self.reported_positions[uid] for uid in self.node_order], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidParameterError(f"every node needs a reported position: {exc!r}") from exc
+        if pos.shape != (self.n_sub, 3) or not np.all(np.isfinite(pos)):
+            raise InvalidParameterError("reported positions must be finite 3-vectors")
         members = set(self.node_order)
         for (i, j, r) in self.constraint_pairs:
             if i not in members or j not in members:
                 raise InvalidParameterError(f"constraint pair ({i}, {j}) leaves the sub-network")
-            if r <= 0:
-                raise InvalidParameterError("claimed distances must be positive")
+            if not 0 < r < math.inf:
+                raise InvalidParameterError("claimed distances must be positive and finite")
 
     @property
     def n_sub(self) -> int:
@@ -102,7 +111,6 @@ class OracleResult:
     status: str
     phase1_slack: float
     max_residual: float
-    iterations: int
     recovered_positions: dict[int, np.ndarray] | None = None
     rank_gap: float | None = None
     diagnostics: dict[str, float | str] = field(default_factory=dict)
@@ -121,20 +129,6 @@ def pair_constraint_matrix(reported_pos: np.ndarray, local_index: int, n_sub: in
     v[:3] = np.asarray(reported_pos, dtype=float)
     v[3 + local_index] = -1.0
     return np.outer(v, v)
-
-
-def lift_positions(X: np.ndarray, gram_surplus: np.ndarray | None = None) -> np.ndarray:
-    """Lifted matrix [[I3, X^T], [X, X X^T + diag(surplus)]] for positions X (n, 3)."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    Z = np.zeros((3 + n, 3 + n))
-    Z[:3, :3] = np.eye(3)
-    Z[:3, 3:] = X.T
-    Z[3:, :3] = X
-    Z[3:, 3:] = X @ X.T
-    if gram_surplus is not None:
-        Z[3:, 3:][np.diag_indices(n)] += np.maximum(np.asarray(gram_surplus, dtype=float), 0.0)
-    return Z
 
 
 def default_epsilon(paper_replication: bool = False) -> float:
@@ -188,73 +182,55 @@ def check_feasibility(problem: FeasibilityProblem, opts: OracleOptions | None = 
     The verdict compares two-sided bounds on the optimal phase-I slack (the
     minimal uniform relaxation of all inequality constraints) against the
     tolerances: a witness below ``tol_feas`` proves feasibility, a dual
-    certificate above ``tol_infeas`` proves infeasibility, anything else is
-    unknown.  Numerical breakdown degrades to unknown, never an exception.
+    certificate above ``tol_infeas`` proves infeasibility, and a slack
+    bracketed strictly between them is unknown.  A node solve that loses
+    precision, or whose optimum sits within its final duality gap of a
+    tolerance, keeps the bounds it has: the verdict is then an unbracketed
+    unknown with its own reason, never an exception.
     """
     opts = opts or OracleOptions()
-    cons = problem.compiled()
-    try:
-        state = conic.solve_phase1(
-            cons,
-            max_iterations=opts.max_iterations,
-            tol_feas=opts.tol_feas,
-            tol_infeas=opts.tol_infeas,
-            check_every=opts.check_every,
-        )
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        return OracleResult(
-            status=UNKNOWN,
-            phase1_slack=np.inf,
-            max_residual=np.inf,
-            iterations=0,
-            diagnostics={"reason": f"numerical breakdown: {exc}"},
-        )
-
-    witness = state.witness
-    Z = conic.complete_lift(cons, witness.X, witness.s) if witness is not None else None
-    max_residual, rank_gap = _residuals(Z)
+    witness, lower = conic.solve_phase1(problem.compiled(), opts.tol_feas, opts.tol_infeas)
+    upper = witness.slack
+    max_residual, rank_gap = _residuals(conic.complete_lift(witness.X, witness.s))
     diagnostics: dict[str, float | str] = {
-        "slack_upper": float(state.upper),
-        "slack_lower": float(state.lower),
+        "slack_upper": upper,
+        "slack_lower": float(lower),
     }
-    if state.notes:
-        diagnostics["reason"] = "; ".join(state.notes)
 
-    if state.upper <= opts.tol_feas:
+    if upper <= opts.tol_feas:
         recovered = {
             uid: witness.X[k].copy() for k, uid in enumerate(problem.node_order)
         }
         return OracleResult(
             status=FEASIBLE,
-            phase1_slack=float(state.upper),
+            phase1_slack=upper,
             max_residual=max_residual,
-            iterations=state.iterations,
             recovered_positions=recovered,
             rank_gap=rank_gap,
             diagnostics=diagnostics,
         )
-    if state.lower >= opts.tol_infeas:
+    if lower >= opts.tol_infeas:
         return OracleResult(
             status=INFEASIBLE,
-            phase1_slack=float(state.lower),
+            phase1_slack=float(lower),
             max_residual=max_residual,
-            iterations=state.iterations,
             rank_gap=rank_gap,
             diagnostics=diagnostics,
         )
+    if lower > opts.tol_feas and upper < opts.tol_infeas:
+        diagnostics["reason"] = "slack bracketed inside tolerance gap"
+    else:
+        diagnostics["reason"] = "node solve stalled before its bounds settled the verdict"
     return OracleResult(
         status=UNKNOWN,
-        phase1_slack=float(state.upper),
+        phase1_slack=upper,
         max_residual=max_residual,
-        iterations=state.iterations,
         rank_gap=rank_gap,
         diagnostics=diagnostics,
     )
 
 
-def _residuals(Z: np.ndarray | None) -> tuple[float, float | None]:
-    if Z is None:
-        return np.inf, None
+def _residuals(Z: np.ndarray) -> tuple[float, float | None]:
     sym = float(np.max(np.abs(Z - Z.T)))
     block = float(np.max(np.abs(Z[:3, :3] - np.eye(3))))
     eigvals = np.linalg.eigvalsh(Z)

@@ -6,6 +6,7 @@ entry lists are emitted in sorted order so serialization is byte-stable.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -15,6 +16,21 @@ from .detectors import DetectionResult
 from .sdp import FeasibilityProblem, OracleResult
 from .suspects import SuspectSets
 from .swarm import InvalidParameterError, MeasurementSet, Swarm, Uav
+
+
+def _decoder(fn):
+    """Report a missing or mistyped key in decoded data as InvalidParameterError."""
+
+    @functools.wraps(fn)
+    def wrapper(data):
+        try:
+            return fn(data)
+        except InvalidParameterError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise InvalidParameterError(f"{fn.__name__}: malformed input ({exc!r})") from exc
+
+    return wrapper
 
 
 def swarm_to_dict(swarm: Swarm) -> dict:
@@ -35,6 +51,7 @@ def swarm_to_dict(swarm: Swarm) -> dict:
     }
 
 
+@_decoder
 def swarm_from_dict(data: dict) -> Swarm:
     uavs = tuple(
         Uav(
@@ -60,6 +77,7 @@ def measurements_to_dict(ms: MeasurementSet) -> dict:
     }
 
 
+@_decoder
 def measurements_from_dict(data: dict) -> MeasurementSet:
     entries = {(int(i), int(j)): float(r) for i, j, r in data["entries"]}
     return MeasurementSet(int(data["n"]), entries)
@@ -79,6 +97,7 @@ def plan_to_dict(plan: AttackPlan | None) -> dict | None:
     }
 
 
+@_decoder
 def plan_from_dict(data: dict | None) -> AttackPlan | None:
     if data is None:
         return None
@@ -101,6 +120,7 @@ def scenario_to_dict(scenario: AttackedScenario) -> dict:
     }
 
 
+@_decoder
 def scenario_from_dict(data: dict) -> AttackedScenario:
     return AttackedScenario(
         swarm=swarm_from_dict(data["swarm"]),
@@ -125,6 +145,7 @@ def problem_to_dict(problem: FeasibilityProblem) -> dict:
     }
 
 
+@_decoder
 def problem_from_dict(data: dict) -> FeasibilityProblem:
     return FeasibilityProblem(
         node_order=tuple(int(i) for i in data["node_order"]),
@@ -177,7 +198,6 @@ def oracle_result_to_dict(result: OracleResult) -> dict:
         "status": result.status,
         "phase1_slack": result.phase1_slack,
         "max_residual": result.max_residual,
-        "iterations": result.iterations,
         "recovered_positions": (
             {str(k): list(v) for k, v in sorted(result.recovered_positions.items())}
             if result.recovered_positions is not None

@@ -8,6 +8,7 @@ sparse directed measurement map that doubles as the neighbor graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,8 +65,8 @@ class Swarm:
         object.__setattr__(self, "uavs", tuple(self.uavs))
         if len(self.uavs) < 2:
             raise InvalidParameterError("a swarm needs at least 2 UAVs")
-        if self.comm_range <= 0 or self.cube_half_width <= 0:
-            raise InvalidParameterError("comm_range and cube_half_width must be positive")
+        if not (0 < self.comm_range < math.inf and 0 < self.cube_half_width < math.inf):
+            raise InvalidParameterError("comm_range and cube_half_width must be positive and finite")
         ids = [u.id for u in self.uavs]
         if ids != list(range(len(self.uavs))):
             raise InvalidParameterError("UAV ids must be 0..N-1 in order")
@@ -94,8 +95,8 @@ class NoiseParams:
     dist_var: float = 1e-6
 
     def __post_init__(self):
-        if self.pos_var < 0 or self.dist_var < 0:
-            raise InvalidParameterError("noise variances must be nonnegative")
+        if not (0 <= self.pos_var < math.inf and 0 <= self.dist_var < math.inf):
+            raise InvalidParameterError("noise variances must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,8 @@ class MeasurementSet:
         for (i, j), r in self.entries.items():
             if i == j or not (0 <= i < self.n and 0 <= j < self.n):
                 raise InvalidParameterError(f"bad measurement pair ({i}, {j})")
-            if r <= 0:
-                raise InvalidParameterError(f"measurement ({i}, {j}) must be positive, got {r}")
+            if not 0 < r < math.inf:
+                raise InvalidParameterError(f"measurement ({i}, {j}) must be positive and finite, got {r}")
 
     def has(self, i: int, j: int) -> bool:
         return (i, j) in self.entries

@@ -11,11 +11,13 @@ from swarmsentry.detectors import (
     NlosDetector,
     RandomDetector,
     cdi,
+    detect,
     ecdi,
     nlos_baseline,
     random_baseline,
 )
 from swarmsentry.suspects import SuspectSets, build_reported_matrix, initial_suspects
+from swarmsentry.swarm import InvalidParameterError
 from swarmsentry.validation import NotFittedError
 
 from conftest import hand_swarm, honest_scenario, make_scenario
@@ -153,7 +155,7 @@ class TestAlgorithmInvariants:
         assert initial.suspected  # scenario produces live suspects
         monkeypatch.setattr(
             sdp, "check_feasibility",
-            lambda problem, opts=None: sdp.OracleResult(sdp.UNKNOWN, np.inf, np.inf, 0),
+            lambda problem, opts=None: sdp.OracleResult(sdp.UNKNOWN, np.inf, np.inf),
         )
         res = cdi(initial, scen, DetectorOptions(unknown_as_infeasible=False))
         assert res.predicted_malicious == frozenset(initial.suspected)
@@ -246,3 +248,18 @@ class TestEstimatorApi:
             labels = det.fit_predict(scen)
             assert labels.sum() <= 3
             assert 0.0 <= det.score(scen) <= 1.0
+
+    def test_detect_dispatches_by_name(self):
+        scen = make_scenario("distributed", 3, seed=7, n=20)
+        initial = init_of(scen)
+        e_r = build_reported_matrix(scen)
+        assert detect("cdi", scen, initial) == cdi(initial, scen)
+        assert detect("ecdi", scen, initial) == ecdi(initial, scen)
+        nlos = detect("nlos", scen, initial, malicious_count=3, seed=7)
+        assert nlos.predicted_malicious == nlos_baseline(e_r, scen.measurements, 3, 7)
+        rand = detect("random", scen, initial, malicious_count=3, seed=7)
+        assert rand.predicted_malicious == random_baseline(initial.suspected, 3, 7)
+        with pytest.raises(InvalidParameterError):
+            detect("nope", scen, initial)
+        with pytest.raises(InvalidParameterError):
+            detect("random", scen, initial)  # baselines need the true count

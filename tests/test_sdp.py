@@ -8,6 +8,7 @@ from swarmsentry.sdp import (
     FEASIBLE,
     INFEASIBLE,
     UNKNOWN,
+    FeasibilityProblem,
     OracleOptions,
     assemble,
     check_feasibility,
@@ -85,7 +86,7 @@ class TestAssemble:
         assert problem.constraint_pairs == ()
         res = check_feasibility(problem)
         assert res.status == FEASIBLE
-        assert res.iterations == 0
+        assert res.phase1_slack == -problem.epsilon  # the report itself is the witness
 
     def test_constraint_counts(self):
         scen = make_scenario("distributed", 4, seed=11)
@@ -164,9 +165,12 @@ class TestCheckFeasibility:
         res = check_feasibility(assemble(range(30), scen), opts)
         if res.status == FEASIBLE:
             assert res.phase1_slack <= opts.tol_feas
-            assert res.max_residual <= opts.tol_res
+            assert res.max_residual <= 1e-7
         if res.status == INFEASIBLE:
             assert res.phase1_slack >= opts.tol_infeas
+        if res.status == UNKNOWN:
+            lower, upper = res.diagnostics["slack_lower"], res.diagnostics["slack_upper"]
+            assert opts.tol_feas < lower <= upper < opts.tol_infeas
 
     def test_determinism(self):
         scen = make_scenario("collusion", 3, seed=14)
@@ -175,7 +179,7 @@ class TestCheckFeasibility:
         b = check_feasibility(problem)
         assert a.status == b.status
         assert abs(a.phase1_slack - b.phase1_slack) <= 1e-9
-        assert a.iterations == b.iterations
+        assert a.diagnostics == b.diagnostics
 
     def test_monotonicity_under_pair_removal(self):
         # Dropping constraint pairs can only keep or enlarge the feasible
@@ -213,7 +217,7 @@ class TestCheckFeasibility:
         ms = ss.MeasurementSet(2, {(0, 1): claim})
         scen = ss.AttackedScenario(swarm, ms)
         problem = assemble([0, 1], scen, eps=eps)
-        res = check_feasibility(problem, OracleOptions(max_iterations=600))
+        res = check_feasibility(problem)
         assert res.status in (UNKNOWN, INFEASIBLE)
 
     def test_relaxation_direction_small_instances(self):
@@ -237,6 +241,23 @@ class TestCheckFeasibility:
         assert checked >= 5
 
 
+# Averaging the shell conflict's two window lower bounds against the
+# displacement bound: 2 t* = (0.33^2 - 0.0225 + delta) - 0.2^2 - epsilon.
+SHELL_OPTIMUM = (0.33**2 - 0.0225 + 1e-9 - 0.2**2 - 0.04) / 2
+
+
+def shell_conflict_problem(positions, pairs):
+    return FeasibilityProblem(
+        node_order=(0, 1, 2),
+        reported_positions=dict(enumerate(positions)),
+        constraint_pairs=pairs,
+        comm_range=0.3,
+        epsilon=0.04,
+        strictness_margin=1e-9,
+        window_sq=0.0225,
+    )
+
+
 class TestConicEngine:
     def test_pairwise_bound_on_contradictory_claim(self):
         # Claimed distance far beyond what range plus window allow.
@@ -248,28 +269,67 @@ class TestConicEngine:
     def test_dual_bound_on_shell_conflict(self):
         # Two anchors demand the node sit 0.33 away from both while its own
         # report pins it between them: every single pair is satisfiable, the
-        # conjunction is not.  Only the dual certificate sees it.
+        # conjunction is not.  Only the node's dual certificate sees it.
         positions = np.array([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0], [-0.2, 0.0, 0.0]])
-        pairs = [(0, 1, 0.33), (0, 2, 0.33)]
-        cons = conic.compile_constraints(positions, pairs, 0.3, 0.04, 1e-9, 0.0225)
+        pairs = ((0, 1, 0.33), (0, 2, 0.33))
+        cons = conic.compile_constraints(positions, list(pairs), 0.3, 0.04, 1e-9, 0.0225)
         assert conic.pairwise_slack_bound(cons) == 0.0
-        lb = conic.dual_slack_bound(cons)
-        assert 1e-4 <= lb <= 0.0033  # true optimum is ~0.0032
+        res = check_feasibility(shell_conflict_problem(positions, pairs))
+        assert res.status == INFEASIBLE
+        assert 1e-4 <= res.phase1_slack <= 0.0033  # true optimum is ~0.0032
+        assert res.diagnostics["slack_lower"] <= SHELL_OPTIMUM + 1e-15
+        assert res.diagnostics["slack_upper"] >= SHELL_OPTIMUM - 1e-15
+
+    def test_unknown_without_bracket_says_so(self):
+        # Tolerances closer to the optimum than the solve's final duality
+        # gap: neither bound settles the node, nor do both fit the gap.
+        positions = np.array([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0], [-0.2, 0.0, 0.0]])
+        problem = shell_conflict_problem(positions, ((0, 1, 0.33), (0, 2, 0.33)))
+        opts = OracleOptions(tol_feas=SHELL_OPTIMUM - 1e-14, tol_infeas=SHELL_OPTIMUM + 1e-14)
+        res = check_feasibility(problem, opts)
+        assert res.status == UNKNOWN
+        assert "stalled" in res.diagnostics["reason"]
+        assert res.diagnostics["slack_lower"] <= SHELL_OPTIMUM + 1e-15
+        assert res.diagnostics["slack_upper"] >= SHELL_OPTIMUM - 1e-15
 
     def test_dual_bound_never_exceeds_witness(self):
-        # Certified lower bounds are floored at zero (zero is vacuous); any
-        # positive value must stay below every witness upper bound.
+        # Every verdict's certified bounds are ordered, and the verdict is
+        # exactly what they prove: unknown only for a slack bracketed inside
+        # the tolerance gap.  Node by node, too.
+        opts = OracleOptions()
         for seed in range(10):
             scen = make_scenario("distributed", 2, seed=seed, n=8)
-            cons = assemble(range(8), scen).compiled()
-            ub = conic.evaluate_witness(cons, conic.refine_witness(cons, cons.positions)).slack
-            lb = max(conic.pairwise_slack_bound(cons), conic.dual_slack_bound(cons))
-            assert lb <= max(ub, 0.0) + 1e-12
+            problem = assemble(range(8), scen)
+            res = check_feasibility(problem, opts)
+            lower, upper = res.diagnostics["slack_lower"], res.diagnostics["slack_upper"]
+            assert lower <= max(upper, 0.0) + 1e-12
+            if res.status == FEASIBLE:
+                assert upper <= opts.tol_feas
+            elif res.status == INFEASIBLE:
+                assert lower >= opts.tol_infeas
+            else:
+                assert opts.tol_feas < lower <= upper < opts.tol_infeas
+            cons = problem.compiled()
+            for i in range(cons.n):
+                found, node_lower = conic.solve_node(cons.node(i), opts.tol_feas, opts.tol_infeas)
+                assert node_lower <= found.slack + 1e-12
 
-    def test_consensus_solver_reaches_feasible_point(self):
-        scen = honest_scenario(seed=6, n=8)
-        cons = assemble(range(8), scen).compiled()
-        solver = conic.ConsensusSolver(cons)
-        solver.iterate(50)
-        w = conic.evaluate_witness(cons, conic.refine_witness(cons, solver.position_estimate()))
-        assert w.slack <= 0.0
+    def test_feasible_verdict_carries_exact_witness(self):
+        # Reports 0.3005 apart with both claims inside range: each report
+        # misses its range bound, so both nodes need the exact solve, and
+        # each can move within its displacement budget to satisfy it.
+        swarm = hand_swarm([[0.0, 0.0, 0.0], [0.3005, 0.0, 0.0]])
+        ms = ss.MeasurementSet(2, {(0, 1): 0.2999, (1, 0): 0.2999})
+        boundary = assemble([0, 1], ss.AttackedScenario(swarm, ms))
+        honest = assemble(range(8), honest_scenario(seed=6, n=8))
+        assert boundary.compiled().max_violation(boundary.compiled().positions) > 1e-4
+        for problem in (boundary, honest):
+            res = check_feasibility(problem)
+            assert res.status == FEASIBLE
+            cons = problem.compiled()
+            X = np.array([res.recovered_positions[uid] for uid in problem.node_order])
+            witness = conic.evaluate_witness(cons, X)
+            assert witness.slack == res.phase1_slack <= 0.0
+            moved = np.linalg.norm(X - cons.positions, axis=1)
+            assert np.all(moved ** 2 + witness.s <= problem.epsilon)
+            assert res.max_residual <= 1e-12

@@ -103,6 +103,32 @@ class TestCli:
         assert verdict["status"] in ("feasible", "infeasible", "unknown")
         assert json.loads(dump_path.read_text())["dimension"] == 11
 
+    @pytest.mark.parametrize("spoil", [
+        lambda d: d.update(epsilon=float("nan")),
+        lambda d: d.update(window_sq=float("inf")),
+        lambda d: d["reported_positions"]["0"].__setitem__(1, float("nan")),
+        lambda d: d["constraint_pairs"][0].__setitem__(2, float("nan")),
+    ])
+    def test_oracle_check_rejects_non_finite(self, tmp_path, spoil):
+        data = serialize.problem_to_dict(assemble(range(6), make_scenario("distributed", 1, seed=2, n=6)))
+        spoil(data)
+        prob_path = tmp_path / "problem.json"
+        prob_path.write_text(json.dumps(data))  # writes NaN / Infinity literals
+        assert run_cli("oracle-check", str(prob_path)) == 2
+
+    @pytest.mark.parametrize("spoil", [
+        lambda d: d.pop("swarm"),
+        lambda d: d["measurements"].pop("n"),
+        lambda d: d["swarm"].update(uavs="none"),
+        lambda d: d["measurements"].update(entries=[[0, 1]]),
+    ])
+    def test_detect_rejects_malformed_scenario(self, tmp_path, spoil):
+        data = serialize.scenario_to_dict(make_scenario("distributed", 1, seed=2, n=6))
+        spoil(data)
+        scen_path = tmp_path / "scenario.json"
+        scen_path.write_text(json.dumps(data))
+        assert run_cli("detect", str(scen_path)) == 2
+
     def test_sweep_with_config(self, tmp_path):
         config = {
             "sweep_param": "malicious_count",

@@ -33,7 +33,8 @@ class TestGenerateSwarm:
         b = ss.generate_swarm(30, 0.5, 0.3, seed=8)
         assert not np.array_equal(a.true_positions(), b.true_positions())
 
-    @pytest.mark.parametrize("bad", [dict(n=1), dict(cube_half_width=0.0), dict(comm_range=-1.0)])
+    @pytest.mark.parametrize("bad", [dict(n=1), dict(cube_half_width=0.0), dict(comm_range=-1.0),
+                                     dict(comm_range=float("nan"))])
     def test_invalid_parameters(self, bad):
         kwargs = dict(n=5, cube_half_width=0.5, comm_range=0.3, seed=0)
         kwargs.update(bad)
@@ -159,3 +160,14 @@ def test_pipeline_zero_noise_consistency():
     pos = scen.swarm.reported_positions()
     for (i, j), r in scen.measurements.entries.items():
         assert abs(r - float(np.linalg.norm(pos[i] - pos[j]))) < 1e-14
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ss.NoiseParams(float("nan"), 1e-6),
+    lambda: ss.NoiseParams(1e-6, float("inf")),
+    lambda: ss.MeasurementSet(3, {(0, 1): float("nan")}),
+    lambda: ss.MeasurementSet(3, {(0, 1): float("inf")}),
+])
+def test_non_finite_values_rejected(make):
+    with pytest.raises(InvalidParameterError):
+        make()
