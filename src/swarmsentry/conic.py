@@ -24,7 +24,9 @@ That question is answered with certified two-sided bounds:
 * every other node gets one deterministic log-barrier Newton solve on its
   five variables.  Its primal point, evaluated exactly, is an upper bound;
   its normalized central-path multipliers, fed to the node's closed-form
-  Lagrange dual, are a lower bound.
+  Lagrange dual, are a lower bound.  A detection run keeps a memo of these
+  solves keyed by the node family's content, so a node family met again in
+  an overlapping neighborhood is looked up, not solved again.
 
 Everything is deterministic: fixed schedules and step rules, no time-based
 decisions.
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_BISECT_STEPS = 80
+_CERTIFY_STEPS = 64
 # Each barrier stage shrinks the duality gap tenfold, from about the data
 # scale to about 1e-9 of it; later stages lose centering to rounding.
 _BARRIER_STAGES = 9
@@ -109,25 +111,18 @@ def compile_constraints(
 ) -> CompiledConstraints:
     """Build the slab family: range and window bounds per measured pair, a
     displacement bound per node."""
+    positions = np.asarray(positions, dtype=float)
     n = len(positions)
-    owner, anchor, hi, lo = [], [], [], []
-    for (i, j, r) in pairs:
-        owner.append(i)
-        anchor.append(positions[j])
-        hi.append(min(comm_range**2 - delta, r * r + window_sq - delta))
-        lo.append(r * r - window_sq + delta)
-    for i in range(n):
-        owner.append(i)
-        anchor.append(positions[i])
-        hi.append(epsilon)
-        lo.append(-np.inf)
+    cols = np.array(pairs, dtype=float).reshape(-1, 3)
+    i, j, r = cols[:, 0].astype(int), cols[:, 1].astype(int), cols[:, 2]
+    pair_hi = np.minimum(comm_range**2 - delta, r * r + window_sq - delta)
     return CompiledConstraints(
         n=n,
-        positions=np.asarray(positions, dtype=float),
-        owner=np.asarray(owner, dtype=int),
-        anchor=np.asarray(anchor, dtype=float) if anchor else np.zeros((0, 3)),
-        hi=np.asarray(hi, dtype=float),
-        lo=np.asarray(lo, dtype=float),
+        positions=positions,
+        owner=np.concatenate([i, np.arange(n)]),
+        anchor=np.concatenate([positions[j], positions]),
+        hi=np.concatenate([pair_hi, np.full(n, float(epsilon))]),
+        lo=np.concatenate([r * r - window_sq + delta, np.full(n, -np.inf)]),
         epsilon=epsilon,
         n_pairs=len(pairs),
     )
@@ -144,11 +139,20 @@ def pairwise_slack_bound(cons: CompiledConstraints) -> float:
     way), any positive value is a valid bound.
 
     For a relaxation t, any lifted solution confines x_i to a ball of radius
-    sqrt(eps + t) around the node's report and allows a Gram surplus of at
-    most eps + t, so each pair functional is boxed into an interval around
-    the reported separation.  The minimal t making every such interval meet
-    its [lo, hi] slab (and the slab nonempty) is a valid bound.  Vectorized
-    bisection; exact monotonicity makes the result certified.
+    r = sqrt(eps + t) around the node's report and allows a Gram surplus of
+    at most eps + t, so each pair functional is boxed into an interval
+    around the reported separation D.  Each of the three conditions below
+    (the interval reaches down to hi, up to lo, and the slab is nonempty)
+    is monotone in t, so a pair's threshold is the largest of their roots:
+
+    * upper: (D - r)^2 <= hi + t holds from r = (D^2 - hi + eps) / (2 D)
+      while that root is at most D, else (and at D = 0) from t = -hi;
+    * lower: 3 r^2 + 2 D r + D^2 - lo - eps >= 0 holds from its positive root;
+    * nonempty: t >= (lo - hi) / 2.
+
+    The largest pair threshold is returned just below where the
+    floating-point ``satisfied`` accepts that pair, so it certifies like an
+    exact bisection would.
     """
     if cons.n_pairs == 0:
         return 0.0
@@ -157,26 +161,38 @@ def pairwise_slack_bound(cons: CompiledConstraints) -> float:
     hi, lo = cons.hi[sl], cons.lo[sl]
     eps = cons.epsilon
 
-    def satisfied(t: np.ndarray) -> np.ndarray:
+    def satisfied(t, k=sl):
         radius = np.sqrt(eps + t)
-        amin = np.maximum(0.0, D - radius) ** 2
-        amax = (D + radius) ** 2 + eps + t
-        ok_upper = amin <= hi + t
-        ok_lower = amax >= lo - t
-        ok_nonempty = lo - t <= hi + t
+        amin = np.maximum(0.0, D[k] - radius) ** 2
+        amax = (D[k] + radius) ** 2 + eps + t
+        ok_upper = amin <= hi[k] + t
+        ok_lower = amax >= lo[k] - t
+        ok_nonempty = lo[k] - t <= hi[k] + t
         return ok_upper & ok_lower & ok_nonempty
 
-    t_lo = np.zeros_like(D)
-    if bool(np.all(satisfied(t_lo))):
+    if bool(np.all(satisfied(0.0))):
         return 0.0
-    t_hi = np.full_like(D, 10.0 * (1.0 + float(np.max(np.abs(lo))) + float(np.max(D)) ** 2))
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (t_lo + t_hi)
-        ok = satisfied(mid)
-        t_lo = np.where(ok, t_lo, mid)
-        t_hi = np.where(ok, mid, t_hi)
-    # t_lo is infeasible-side everywhere it moved: a valid lower bound.
-    return float(np.max(t_lo))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_up = (D * D - hi + eps) / (2.0 * D)
+        t_up = np.where((D > 0) & (r_up <= D), np.maximum(r_up, 0.0) ** 2 - eps, -hi)
+        # Positive root of the lower condition, in its cancellation-free form.
+        disc = 3.0 * (lo + eps) - 2.0 * D * D
+        den = D + np.sqrt(np.maximum(disc, 0.0))
+        r_lo = np.where(den > 0, (lo + eps - D * D) / den, 0.0)
+        t_lo = np.where(disc >= 0, np.maximum(r_lo, 0.0) ** 2 - eps, -np.inf)
+    tau = np.maximum(np.maximum(t_up, t_lo), (lo - hi) / 2.0)
+    worst = int(np.argmax(tau))
+    bound, step = float(tau[worst]), 0.0
+    for _ in range(_CERTIFY_STEPS):
+        if bound <= 0.0:
+            return 0.0
+        if not satisfied(bound, worst):
+            return bound
+        # One ulp first, then doubling steps: rounding in the closed form
+        # rarely puts it more than a few ulps past the float predicate.
+        step = 2.0 * step if step else bound - float(np.nextafter(bound, -np.inf))
+        bound -= step
+    return 0.0
 
 
 def dual_slack_bound(cons: CompiledConstraints, w_up: np.ndarray, w_lo: np.ndarray) -> float:
@@ -392,18 +408,36 @@ def solve_node(
 
 
 def refine_witness(
-    cons: CompiledConstraints, witness: WitnessResult, lower: float, tol_feas: float, tol_infeas: float
+    cons: CompiledConstraints,
+    witness: WitnessResult,
+    lower: float,
+    tol_feas: float,
+    tol_infeas: float,
+    memo: dict | None = None,
 ) -> float:
     """Replace, worst first, every node entry of ``witness`` that misses
     ``tol_feas`` with its exact node solve, and return the call's lower bound
     (``lower`` raised by each node's dual bound).  The first node proven
     infeasible ends the loop.
+
+    ``memo``, when given, maps a node family's content (report, anchors,
+    bounds, epsilon and both tolerances) to its solve, so a family already
+    solved in the same detection run is looked up instead of solved again:
+    the solve is a pure function of exactly that content.
     """
     for i in np.argsort(-witness.node_slack, kind="stable"):
         if witness.node_slack[i] <= tol_feas:
             break
-        found, node_lower = solve_node(cons.node(i), tol_feas, tol_infeas)
-        witness.X[i], witness.s[i], witness.node_slack[i] = found.X[0], found.s[0], found.node_slack[0]
+        node = cons.node(i)
+        key = (node.positions.tobytes(), node.anchor.tobytes(), node.hi.tobytes(),
+               node.lo.tobytes(), node.epsilon, tol_feas, tol_infeas)
+        hit = memo.get(key) if memo is not None else None
+        if hit is None:
+            found, node_lower = solve_node(node, tol_feas, tol_infeas)
+            hit = (found.X[0], found.s[0], found.node_slack[0], node_lower)
+            if memo is not None:
+                memo[key] = hit
+        witness.X[i], witness.s[i], witness.node_slack[i], node_lower = hit
         lower = max(lower, node_lower)
         if lower >= tol_infeas:
             break
@@ -411,7 +445,7 @@ def refine_witness(
 
 
 def solve_phase1(
-    cons: CompiledConstraints, tol_feas: float, tol_infeas: float
+    cons: CompiledConstraints, tol_feas: float, tol_infeas: float, memo: dict | None = None
 ) -> tuple[WitnessResult, float]:
     """Certified bounds on the optimal phase-I slack of a sub-network.
 
@@ -419,10 +453,10 @@ def solve_phase1(
     nodes) and the lower bound (the pairwise bound or the largest node dual
     bound, so floored at zero like the pairwise bound).  Each node starts
     from its own report; the pairwise bound may settle the call before any
-    node is solved.
+    node is solved.  ``memo`` is passed on to ``refine_witness``.
     """
     lower = pairwise_slack_bound(cons)
     witness = evaluate_witness(cons, cons.positions.copy())
     if lower < tol_infeas:
-        lower = refine_witness(cons, witness, lower, tol_feas, tol_infeas)
+        lower = refine_witness(cons, witness, lower, tol_feas, tol_infeas, memo)
     return witness, lower

@@ -83,6 +83,9 @@ class _Run:
         self.passes = 0
         self.trace: list[tuple[int, int, str]] = []
         self.flags: set[str] = set()
+        # Per-node solves of this run's oracle calls, keyed by node content;
+        # neighborhoods overlap, so most node families repeat.
+        self.memo: dict = {}
         # Initial evidence against each id, used to order per-UAV refinement:
         # lightly-implicated members are assessed first so exonerations
         # accumulate benign context before heavily-implicated ones are tried.
@@ -135,7 +138,7 @@ class _Run:
             window_sq=self.options.window_sq,
             paper_replication=self.options.paper_replication,
         )
-        res = sdp.check_feasibility(problem, self.options.oracle)
+        res = sdp.check_feasibility(problem, self.options.oracle, self.memo)
         self.oracle_calls += 1
         self.trace.append((assessed, problem.n_sub, res.status))
         if res.status == sdp.UNKNOWN:

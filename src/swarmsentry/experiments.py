@@ -9,6 +9,8 @@ the CSV output is byte-stable across runs.
 from __future__ import annotations
 
 import concurrent.futures
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -56,6 +58,15 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise InvalidParameterError(f"unknown algorithms: {sorted(unknown)}")
+        scalars = [("comm_range", self.comm_range), ("cube_half_width", self.cube_half_width),
+                   ("pos_var", self.pos_var), ("dist_var", self.dist_var)]
+        if self.fake_offset_min is not None:
+            scalars.append(("fake_offset_min", self.fake_offset_min))
+        if self.sweep_param in ("comm_range", "dist_var"):
+            scalars += [(self.sweep_param, v) for v in self.sweep_values]
+        for name, value in scalars:
+            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+                raise InvalidParameterError(f"{name} must be nonnegative and finite, got {value!r}")
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
 

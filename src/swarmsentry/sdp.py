@@ -160,11 +160,8 @@ def assemble(
         window_sq = (d / 2.0) ** 2
     members = set(ids)
     pos = {u.id: u.reported_pos for u in scenario.swarm.uavs if u.id in members}
-    pairs = tuple(
-        (i, j, r)
-        for (i, j, r) in scenario.measurements.directed_pairs()
-        if i in members and j in members
-    )
+    outgoing = scenario.measurements.outgoing
+    pairs = tuple(t for i in ids for t in outgoing.get(i, ()) if t[1] in members)
     return FeasibilityProblem(
         node_order=ids,
         reported_positions=pos,
@@ -176,7 +173,9 @@ def assemble(
     )
 
 
-def check_feasibility(problem: FeasibilityProblem, opts: OracleOptions | None = None) -> OracleResult:
+def check_feasibility(
+    problem: FeasibilityProblem, opts: OracleOptions | None = None, memo: dict | None = None
+) -> OracleResult:
     """Decide feasibility of the lifted relaxation with certified slack bounds.
 
     The verdict compares two-sided bounds on the optimal phase-I slack (the
@@ -187,9 +186,17 @@ def check_feasibility(problem: FeasibilityProblem, opts: OracleOptions | None = 
     precision, or whose optimum sits within its final duality gap of a
     tolerance, keeps the bounds it has: the verdict is then an unbracketed
     unknown with its own reason, never an exception.
+
+    ``diagnostics["slack_lower"]`` starts from the pairwise bound, which is
+    floored at zero, so it lower-bounds max(t*, 0) rather than the optimal
+    slack t* itself; on a feasible call with t* < 0 it is not a bound on t*.
+
+    ``memo`` is internal to the detectors: a dict that lives for one
+    detection run and lets repeated per-node solves be looked up (see
+    ``conic.refine_witness``).  Results are the same with or without it.
     """
     opts = opts or OracleOptions()
-    witness, lower = conic.solve_phase1(problem.compiled(), opts.tol_feas, opts.tol_infeas)
+    witness, lower = conic.solve_phase1(problem.compiled(), opts.tol_feas, opts.tol_infeas, memo)
     upper = witness.slack
     max_residual, rank_gap = _residuals(conic.complete_lift(witness.X, witness.s))
     diagnostics: dict[str, float | str] = {

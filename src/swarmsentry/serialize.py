@@ -223,8 +223,14 @@ def detection_to_dict(result: DetectionResult, initial: SuspectSets | None = Non
 
 
 def dumps(data: dict) -> str:
-    """Canonical JSON text: sorted keys, stable float repr, trailing newline."""
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, stable float repr, trailing newline.
+
+    NaN and infinities are not JSON; they raise InvalidParameterError.
+    """
+    try:
+        return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InvalidParameterError(f"cannot encode as JSON: {exc}") from exc
 
 
 def load_path(path: str) -> dict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +106,8 @@ class MeasurementSet:
 
     An entry (i, j) means UAV i reports a ranging measurement to UAV j.  The
     adjacency indicator is entry presence; ``neighbor_set`` symmetrizes it.
+    A set is immutable once built (``entries`` must not change afterwards):
+    its pair index is built from the entries on first use and kept.
     """
 
     n: int
@@ -126,6 +129,25 @@ class MeasurementSet:
     def directed_pairs(self) -> list[tuple[int, int, float]]:
         """All (i, j, r) triplets in sorted pair order."""
         return [(i, j, self.entries[(i, j)]) for (i, j) in sorted(self.entries)]
+
+    @cached_property
+    def outgoing(self) -> dict[int, tuple[tuple[int, int, float], ...]]:
+        """Source id -> its (i, j, r) triplets sorted by j (sources without
+        entries are absent)."""
+        out: dict[int, list] = {}
+        for t in self.directed_pairs():
+            out.setdefault(t[0], []).append(t)
+        return {i: tuple(t) for i, t in out.items()}
+
+    @cached_property
+    def adjacency(self) -> dict[int, frozenset[int]]:
+        """Id -> its one-hop neighbors in either direction (ids without
+        entries are absent)."""
+        adj: dict[int, set[int]] = {}
+        for (i, j) in self.entries:
+            adj.setdefault(i, set()).add(j)
+            adj.setdefault(j, set()).add(i)
+        return {k: frozenset(v) for k, v in adj.items()}
 
     def replace_outgoing(self, source: int, new_claims: dict[int, float]) -> "MeasurementSet":
         """Return a copy where all (source, *) entries are replaced by new_claims."""
@@ -197,10 +219,4 @@ def neighbor_set(measurements: MeasurementSet, k: int) -> frozenset[int]:
     """One-hop neighbors of k: union of both measurement directions."""
     if not 0 <= k < measurements.n:
         raise InvalidParameterError(f"UAV id {k} out of range [0, {measurements.n})")
-    out = set()
-    for (i, j) in measurements.entries:
-        if i == k:
-            out.add(j)
-        elif j == k:
-            out.add(i)
-    return frozenset(out)
+    return measurements.adjacency.get(k, frozenset())

@@ -155,11 +155,51 @@ class TestAlgorithmInvariants:
         assert initial.suspected  # scenario produces live suspects
         monkeypatch.setattr(
             sdp, "check_feasibility",
-            lambda problem, opts=None: sdp.OracleResult(sdp.UNKNOWN, np.inf, np.inf),
+            lambda problem, opts=None, memo=None: sdp.OracleResult(sdp.UNKNOWN, np.inf, np.inf),
         )
         res = cdi(initial, scen, DetectorOptions(unknown_as_infeasible=False))
         assert res.predicted_malicious == frozenset(initial.suspected)
         assert "oracle-unknown" in res.flags
+
+
+class TestNodeSolveMemo:
+    @pytest.mark.parametrize("kind,m,seed,dist_var", [
+        ("distributed", 4, 8, 1e-4), ("collusion", 4, 0, 1e-4), ("mixed", 6, 8, 1e-6),
+    ])
+    def test_memo_changes_nothing_but_the_work(self, monkeypatch, kind, m, seed, dist_var):
+        # The per-run memo of node solves must give the same oracle results
+        # and DetectionResult as solving every node afresh, while actually
+        # being hit (these scenarios need node solves in both detectors).
+        scen = make_scenario(kind, m, seed=seed, n=30, dist_var=dist_var)
+        initial = init_of(scen)
+        solves = []
+        solve_node = ss.conic.solve_node
+        monkeypatch.setattr(ss.conic, "solve_node", lambda *a: solves.append(1) or solve_node(*a))
+        check = sdp.check_feasibility
+
+        def run(algo, use_memo):
+            solves.clear()
+            memos, verdicts = [], []
+
+            def recorded(problem, opts=None, memo=None):
+                memos.append(memo)
+                res = check(problem, opts, memo if use_memo else None)
+                positions = sorted((k, v.tolist()) for k, v in (res.recovered_positions or {}).items())
+                verdicts.append((res.status, res.phase1_slack, res.max_residual, res.rank_gap,
+                                 sorted(res.diagnostics.items()), positions))
+                return res
+
+            monkeypatch.setattr(sdp, "check_feasibility", recorded)
+            return algo(initial, scen), verdicts, memos, len(solves)
+
+        for algo in (cdi, ecdi):
+            fresh, fresh_verdicts, _, n_fresh = run(algo, use_memo=False)
+            reused, verdicts, memos, n_solved = run(algo, use_memo=True)
+            assert reused == fresh
+            assert verdicts == fresh_verdicts
+            assert all(m is memos[0] for m in memos)     # one memo per run
+            assert len(memos[0]) == n_solved             # every solve is stored once
+            assert 0 < n_solved < n_fresh                # and some lookups hit it
 
 
 class TestNlosBaseline:

@@ -41,6 +41,19 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(algorithms=("cdi", "nope"))
 
+    @pytest.mark.parametrize("field", ["comm_range", "cube_half_width", "pos_var", "dist_var", "fake_offset_min"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-3, "0.3"])
+    def test_rejects_non_finite_or_negative_scalars(self, field, bad):
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(**{field: bad})
+
+    def test_rejects_bad_sweep_values_of_a_scalar(self):
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(sweep_param="dist_var", sweep_values=(1e-6, float("nan")))
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(sweep_param="comm_range", sweep_values=(0.3, -0.3))
+        assert ExperimentConfig(fake_offset_min=None).fake_offset_min is None
+
     def test_roundtrip(self):
         config = tiny_config()
         assert ExperimentConfig.from_dict(config.to_dict()) == config

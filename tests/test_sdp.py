@@ -258,7 +258,38 @@ def shell_conflict_problem(positions, pairs):
     )
 
 
+def loop_compile(positions, pairs, comm_range, epsilon, delta, window_sq):
+    """Reference for ``conic.compile_constraints``: one functional at a time."""
+    owner, anchor, hi, lo = [], [], [], []
+    for (i, j, r) in pairs:
+        owner.append(i)
+        anchor.append(positions[j])
+        hi.append(min(comm_range**2 - delta, r * r + window_sq - delta))
+        lo.append(r * r - window_sq + delta)
+    for i in range(len(positions)):
+        owner.append(i)
+        anchor.append(positions[i])
+        hi.append(epsilon)
+        lo.append(-np.inf)
+    return np.array(owner), np.array(anchor), np.array(hi), np.array(lo)
+
+
 class TestConicEngine:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_compile_matches_loop_reference(self, seed):
+        scen = make_scenario("mixed", 4, seed=seed)
+        rng = np.random.default_rng(seed)
+        for size in (1, 2, 7, 30):
+            problem = assemble(rng.choice(30, size=size, replace=False), scen)
+            local = {uid: k for k, uid in enumerate(problem.node_order)}
+            positions = np.array([problem.reported_positions[uid] for uid in problem.node_order])
+            pairs = [(local[i], local[j], r) for (i, j, r) in problem.constraint_pairs]
+            cons = problem.compiled()
+            for got, want in zip((cons.owner, cons.anchor, cons.hi, cons.lo),
+                                 loop_compile(positions, pairs, 0.3, problem.epsilon, problem.strictness_margin,
+                                              problem.window_sq)):
+                assert np.array_equal(got, want.reshape(got.shape))
+
     def test_pairwise_bound_on_contradictory_claim(self):
         # Claimed distance far beyond what range plus window allow.
         positions = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]])

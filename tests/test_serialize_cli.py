@@ -70,6 +70,17 @@ def run_cli(*args):
     return main(list(args))
 
 
+class TestDumps:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_floats(self, bad):
+        with pytest.raises(ss.InvalidParameterError):
+            serialize.dumps({"phase1_slack": bad})
+
+    def test_finite_floats_round_trip(self):
+        data = {"a": 0.1, "b": [1e-300, -2.5]}
+        assert json.loads(serialize.dumps(data)) == data
+
+
 class TestCli:
     def test_pipeline(self, tmp_path):
         swarm_path = tmp_path / "swarm.json"
@@ -128,6 +139,20 @@ class TestCli:
         scen_path = tmp_path / "scenario.json"
         scen_path.write_text(json.dumps(data))
         assert run_cli("detect", str(scen_path)) == 2
+
+    @pytest.mark.parametrize("spoil", [
+        {"comm_range": float("nan")},
+        {"cube_half_width": float("inf")},
+        {"pos_var": -1e-6},
+        {"dist_var": float("nan")},
+        {"fake_offset_min": -0.1},
+    ])
+    def test_sweep_rejects_bad_config_scalars(self, tmp_path, spoil):
+        config = {"sweep_param": "malicious_count", "sweep_values": [1], "n_uavs": 12,
+                  "trials_per_point": 1, "algorithms": ["random"], **spoil}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))  # writes NaN / Infinity literals
+        assert run_cli("sweep", "--config", str(config_path)) == 2
 
     def test_sweep_with_config(self, tmp_path):
         config = {

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swarmsentry as ss
 from swarmsentry.swarm import DISTANCE_FLOOR, InvalidParameterError, neighbor_set
 
-from conftest import honest_scenario
+from conftest import honest_scenario, make_scenario
 
 
 class TestGenerateSwarm:
@@ -151,6 +153,27 @@ class TestNeighborSet:
                 if j != k and float(np.linalg.norm(pos[k] - pos[j])) <= 0.3
             }
             assert neighbor_set(ms, k) == expected
+
+
+class TestPairIndex:
+    """The per-set pair index gives what a scan of every entry gives."""
+
+    @given(st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda p: p[0] != p[1]),
+                           st.floats(0.01, 1.0), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_a_full_scan(self, entries):
+        ms = ss.MeasurementSet(8, entries)
+        assert ms.directed_pairs() == [(i, j, entries[(i, j)]) for (i, j) in sorted(entries)]
+        for k in range(8):
+            scan = {j for (i, j) in entries if i == k} | {i for (i, j) in entries if j == k}
+            assert neighbor_set(ms, k) == scan
+
+    @given(st.sets(st.integers(0, 29), min_size=1))
+    @settings(max_examples=30, deadline=None)
+    def test_assemble_keeps_sorted_member_pairs(self, sub):
+        scen = make_scenario("mixed", 4, seed=5)
+        pairs = ss.assemble(sub, scen).constraint_pairs
+        assert list(pairs) == [t for t in scen.measurements.directed_pairs() if t[0] in sub and t[1] in sub]
 
 
 def test_pipeline_zero_noise_consistency():
