@@ -24,9 +24,14 @@ That question is answered with certified two-sided bounds:
 * every other node gets one deterministic log-barrier Newton solve on its
   five variables.  Its primal point, evaluated exactly, is an upper bound;
   its normalized central-path multipliers, fed to the node's closed-form
-  Lagrange dual, are a lower bound.  A detection run keeps a memo of these
-  solves keyed by the node family's content, so a node family met again in
-  an overlapping neighborhood is looked up, not solved again.
+  Lagrange dual, are a lower bound.
+
+The same pieces serve the detectors' per-run scenario oracle
+(``sdp.ScenarioOracle``): a pair's threshold depends only on that pair and a
+node's family only on which of its measured counterparts are present, so it
+compiles the whole scenario once (``PairThresholds``,
+``CompiledConstraints.family``) and decides each sub-network from per-pair
+thresholds and per-node verdicts it keeps for the run.
 
 Everything is deterministic: fixed schedules and step rules, no time-based
 decisions.
@@ -88,16 +93,22 @@ class CompiledConstraints:
     def node(self, i: int) -> "CompiledConstraints":
         """The one-node family of node ``i``: its pair functionals, then its
         self functional, against the same fixed anchors."""
-        idx = np.nonzero(self.owner == i)[0]
+        return self.family([i], np.nonzero(self.owner == i)[0])
+
+    def family(self, ids, rows: np.ndarray) -> "CompiledConstraints":
+        """The family of nodes ``ids`` (local index k for ``ids[k]``) over the
+        functionals ``rows``, all owned by those nodes, in order."""
+        local = np.zeros(self.n, dtype=int)
+        local[ids] = np.arange(len(ids))
         return CompiledConstraints(
-            n=1,
-            positions=self.positions[i:i + 1],
-            owner=np.zeros(len(idx), dtype=int),
-            anchor=self.anchor[idx],
-            hi=self.hi[idx],
-            lo=self.lo[idx],
+            n=len(ids),
+            positions=self.positions[ids],
+            owner=local[self.owner[rows]],
+            anchor=self.anchor[rows],
+            hi=self.hi[rows],
+            lo=self.lo[rows],
             epsilon=self.epsilon,
-            n_pairs=len(idx) - 1,
+            n_pairs=int(np.count_nonzero(rows < self.n_pairs)),
         )
 
 
@@ -132,67 +143,92 @@ def compile_constraints(
 # Lower bounds on the phase-I slack
 # ---------------------------------------------------------------------------
 
-def pairwise_slack_bound(cons: CompiledConstraints) -> float:
-    """Certified lower bound on the optimal slack from single-pair analysis.
-
-    Nonnegative by construction; zero is vacuous (no violation provable this
-    way), any positive value is a valid bound.
+@dataclass
+class PairThresholds:
+    """Per-pair data of the pairwise bound for the pair functionals of a
+    family: reported separation ``D``, bounds ``hi``/``lo`` and the
+    displacement budget ``eps``.
 
     For a relaxation t, any lifted solution confines x_i to a ball of radius
     r = sqrt(eps + t) around the node's report and allows a Gram surplus of
     at most eps + t, so each pair functional is boxed into an interval
-    around the reported separation D.  Each of the three conditions below
-    (the interval reaches down to hi, up to lo, and the slab is nonempty)
-    is monotone in t, so a pair's threshold is the largest of their roots:
+    around D.  Each of the three conditions of ``satisfied`` (the interval
+    reaches down to hi, up to lo, and the slab is nonempty) is monotone in
+    t, so a pair's threshold is the largest of their roots:
 
     * upper: (D - r)^2 <= hi + t holds from r = (D^2 - hi + eps) / (2 D)
       while that root is at most D, else (and at D = 0) from t = -hi;
     * lower: 3 r^2 + 2 D r + D^2 - lo - eps >= 0 holds from its positive root;
     * nonempty: t >= (lo - hi) / 2.
+    """
 
-    The largest pair threshold is returned just below where the
-    floating-point ``satisfied`` accepts that pair, so it certifies like an
-    exact bisection would.
+    D: np.ndarray
+    hi: np.ndarray
+    lo: np.ndarray
+    eps: float
+
+    @classmethod
+    def of(cls, cons: CompiledConstraints) -> "PairThresholds":
+        sl = slice(0, cons.n_pairs)
+        D = np.linalg.norm(cons.positions[cons.owner[sl]] - cons.anchor[sl], axis=1)
+        return cls(D, cons.hi[sl], cons.lo[sl], cons.epsilon)
+
+    def satisfied(self, t, k=slice(None)):
+        """The floating-point predicate: pair(s) ``k`` admit relaxation ``t``."""
+        radius = np.sqrt(self.eps + t)
+        D, hi, lo = self.D[k], self.hi[k], self.lo[k]
+        amin = np.maximum(0.0, D - radius) ** 2
+        amax = (D + radius) ** 2 + self.eps + t
+        ok_upper = amin <= hi + t
+        ok_lower = amax >= lo - t
+        ok_nonempty = lo - t <= hi + t
+        return ok_upper & ok_lower & ok_nonempty
+
+    def thresholds(self) -> np.ndarray:
+        """Each pair's closed-form threshold."""
+        D, hi, lo, eps = self.D, self.hi, self.lo, self.eps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_up = (D * D - hi + eps) / (2.0 * D)
+            t_up = np.where((D > 0) & (r_up <= D), np.maximum(r_up, 0.0) ** 2 - eps, -hi)
+            # Positive root of the lower condition, in its cancellation-free form.
+            disc = 3.0 * (lo + eps) - 2.0 * D * D
+            den = D + np.sqrt(np.maximum(disc, 0.0))
+            r_lo = np.where(den > 0, (lo + eps - D * D) / den, 0.0)
+            t_lo = np.where(disc >= 0, np.maximum(r_lo, 0.0) ** 2 - eps, -np.inf)
+        return np.maximum(np.maximum(t_up, t_lo), (lo - hi) / 2.0)
+
+    def certified(self, k: int, tau: float) -> float:
+        """Pair ``k``'s threshold ``tau`` stepped down until the float
+        predicate rejects that pair, so it certifies as an exact bisection
+        would; zero when no positive relaxation is rejected."""
+        bound, step = float(tau), 0.0
+        for _ in range(_CERTIFY_STEPS):
+            if bound <= 0.0:
+                return 0.0
+            if not self.satisfied(bound, k):
+                return bound
+            # One ulp first, then doubling steps: rounding in the closed form
+            # rarely puts it more than a few ulps past the float predicate.
+            step = 2.0 * step if step else bound - float(np.nextafter(bound, -np.inf))
+            bound -= step
+        return 0.0
+
+
+def pairwise_slack_bound(cons: CompiledConstraints) -> float:
+    """Certified lower bound on the optimal slack from single-pair analysis.
+
+    Nonnegative by construction; zero is vacuous (no violation provable this
+    way), any positive value is a valid bound: the largest pair threshold of
+    ``PairThresholds``, certified by ``PairThresholds.certified``.
     """
     if cons.n_pairs == 0:
         return 0.0
-    sl = slice(0, cons.n_pairs)
-    D = np.linalg.norm(cons.positions[cons.owner[sl]] - cons.anchor[sl], axis=1)
-    hi, lo = cons.hi[sl], cons.lo[sl]
-    eps = cons.epsilon
-
-    def satisfied(t, k=sl):
-        radius = np.sqrt(eps + t)
-        amin = np.maximum(0.0, D[k] - radius) ** 2
-        amax = (D[k] + radius) ** 2 + eps + t
-        ok_upper = amin <= hi[k] + t
-        ok_lower = amax >= lo[k] - t
-        ok_nonempty = lo[k] - t <= hi[k] + t
-        return ok_upper & ok_lower & ok_nonempty
-
-    if bool(np.all(satisfied(0.0))):
+    pairs = PairThresholds.of(cons)
+    if bool(np.all(pairs.satisfied(0.0))):
         return 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_up = (D * D - hi + eps) / (2.0 * D)
-        t_up = np.where((D > 0) & (r_up <= D), np.maximum(r_up, 0.0) ** 2 - eps, -hi)
-        # Positive root of the lower condition, in its cancellation-free form.
-        disc = 3.0 * (lo + eps) - 2.0 * D * D
-        den = D + np.sqrt(np.maximum(disc, 0.0))
-        r_lo = np.where(den > 0, (lo + eps - D * D) / den, 0.0)
-        t_lo = np.where(disc >= 0, np.maximum(r_lo, 0.0) ** 2 - eps, -np.inf)
-    tau = np.maximum(np.maximum(t_up, t_lo), (lo - hi) / 2.0)
+    tau = pairs.thresholds()
     worst = int(np.argmax(tau))
-    bound, step = float(tau[worst]), 0.0
-    for _ in range(_CERTIFY_STEPS):
-        if bound <= 0.0:
-            return 0.0
-        if not satisfied(bound, worst):
-            return bound
-        # One ulp first, then doubling steps: rounding in the closed form
-        # rarely puts it more than a few ulps past the float predicate.
-        step = 2.0 * step if step else bound - float(np.nextafter(bound, -np.inf))
-        bound -= step
-    return 0.0
+    return pairs.certified(worst, tau[worst])
 
 
 def dual_slack_bound(cons: CompiledConstraints, w_up: np.ndarray, w_lo: np.ndarray) -> float:
@@ -413,31 +449,17 @@ def refine_witness(
     lower: float,
     tol_feas: float,
     tol_infeas: float,
-    memo: dict | None = None,
 ) -> float:
     """Replace, worst first, every node entry of ``witness`` that misses
     ``tol_feas`` with its exact node solve, and return the call's lower bound
     (``lower`` raised by each node's dual bound).  The first node proven
     infeasible ends the loop.
-
-    ``memo``, when given, maps a node family's content (report, anchors,
-    bounds, epsilon and both tolerances) to its solve, so a family already
-    solved in the same detection run is looked up instead of solved again:
-    the solve is a pure function of exactly that content.
     """
     for i in np.argsort(-witness.node_slack, kind="stable"):
         if witness.node_slack[i] <= tol_feas:
             break
-        node = cons.node(i)
-        key = (node.positions.tobytes(), node.anchor.tobytes(), node.hi.tobytes(),
-               node.lo.tobytes(), node.epsilon, tol_feas, tol_infeas)
-        hit = memo.get(key) if memo is not None else None
-        if hit is None:
-            found, node_lower = solve_node(node, tol_feas, tol_infeas)
-            hit = (found.X[0], found.s[0], found.node_slack[0], node_lower)
-            if memo is not None:
-                memo[key] = hit
-        witness.X[i], witness.s[i], witness.node_slack[i], node_lower = hit
+        found, node_lower = solve_node(cons.node(i), tol_feas, tol_infeas)
+        witness.X[i], witness.s[i], witness.node_slack[i] = found.X[0], found.s[0], found.node_slack[0]
         lower = max(lower, node_lower)
         if lower >= tol_infeas:
             break
@@ -445,7 +467,7 @@ def refine_witness(
 
 
 def solve_phase1(
-    cons: CompiledConstraints, tol_feas: float, tol_infeas: float, memo: dict | None = None
+    cons: CompiledConstraints, tol_feas: float, tol_infeas: float
 ) -> tuple[WitnessResult, float]:
     """Certified bounds on the optimal phase-I slack of a sub-network.
 
@@ -453,10 +475,10 @@ def solve_phase1(
     nodes) and the lower bound (the pairwise bound or the largest node dual
     bound, so floored at zero like the pairwise bound).  Each node starts
     from its own report; the pairwise bound may settle the call before any
-    node is solved.  ``memo`` is passed on to ``refine_witness``.
+    node is solved.
     """
     lower = pairwise_slack_bound(cons)
     witness = evaluate_witness(cons, cons.positions.copy())
     if lower < tol_infeas:
-        lower = refine_witness(cons, witness, lower, tol_feas, tol_infeas, memo)
+        lower = refine_witness(cons, witness, lower, tol_feas, tol_infeas)
     return witness, lower

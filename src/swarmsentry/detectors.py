@@ -75,7 +75,6 @@ class _Run:
 
     def __init__(self, initial: SuspectSets, scenario: AttackedScenario, options: DetectorOptions):
         self.scenario = scenario
-        self.options = options
         self.suspected = set(initial.suspected)
         self.trusted = set(initial.trusted)
         self.oracle_calls = 0
@@ -83,9 +82,9 @@ class _Run:
         self.passes = 0
         self.trace: list[tuple[int, int, str]] = []
         self.flags: set[str] = set()
-        # Per-node solves of this run's oracle calls, keyed by node content;
-        # neighborhoods overlap, so most node families repeat.
-        self.memo: dict = {}
+        # Neighborhoods overlap, so most pairs and node families repeat
+        # across this run's checks: one oracle keeps them for the run.
+        self.oracle = sdp.ScenarioOracle(scenario, options)
         # Initial evidence against each id, used to order per-UAV refinement:
         # lightly-implicated members are assessed first so exonerations
         # accumulate benign context before heavily-implicated ones are tried.
@@ -129,21 +128,13 @@ class _Run:
             if not (self.accusers[k] - self.discredited - {k}) and k not in accusing_anyone
         }
 
-    def check(self, sub_ids, assessed: int) -> str:
-        problem = sdp.assemble(
-            sub_ids,
-            self.scenario,
-            eps=self.options.eps,
-            delta=self.options.delta,
-            window_sq=self.options.window_sq,
-            paper_replication=self.options.paper_replication,
-        )
-        res = sdp.check_feasibility(problem, self.options.oracle, self.memo)
+    def check(self, sub_ids: set[int], assessed: int) -> str:
+        status = self.oracle.check(sub_ids)
         self.oracle_calls += 1
-        self.trace.append((assessed, problem.n_sub, res.status))
-        if res.status == sdp.UNKNOWN:
+        self.trace.append((assessed, len(sub_ids), status))
+        if status == sdp.UNKNOWN:
             self.flags.add("oracle-unknown")
-        return res.status
+        return status
 
     def exonerate(self, ids) -> None:
         moved = set(ids) & self.suspected

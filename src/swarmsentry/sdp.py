@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import conic
 from .attacks import AttackedScenario
 from .swarm import InvalidParameterError
+
+if TYPE_CHECKING:
+    from .detectors import DetectorOptions
 
 lift_positions = conic.complete_lift
 
@@ -41,6 +45,19 @@ class OracleOptions:
     tol_feas: float = 1e-6
     tol_infeas: float = 1e-4
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tol_feas) and math.isfinite(self.tol_infeas)):
+            raise InvalidParameterError("oracle tolerances must be finite")
+        if self.tol_feas >= self.tol_infeas:
+            raise InvalidParameterError("need tol_feas < tol_infeas")
+
+
+def _check_scalars(comm_range: float, epsilon: float, margin: float, window_sq: float) -> None:
+    if not all(math.isfinite(x) for x in (comm_range, epsilon, margin, window_sq)):
+        raise InvalidParameterError("range, epsilon, margin and window must be finite")
+    if epsilon < 0 or margin <= 0 or comm_range <= 0:
+        raise InvalidParameterError("need epsilon >= 0, margin > 0, range > 0")
+
 
 @dataclass(frozen=True)
 class FeasibilityProblem:
@@ -62,11 +79,7 @@ class FeasibilityProblem:
     def __post_init__(self):
         if not self.node_order:
             raise InvalidParameterError("sub-network must be nonempty")
-        scalars = (self.comm_range, self.epsilon, self.strictness_margin, self.window_sq)
-        if not all(math.isfinite(x) for x in scalars):
-            raise InvalidParameterError("range, epsilon, margin and window must be finite")
-        if self.epsilon < 0 or self.strictness_margin <= 0 or self.comm_range <= 0:
-            raise InvalidParameterError("need epsilon >= 0, margin > 0, range > 0")
+        _check_scalars(self.comm_range, self.epsilon, self.strictness_margin, self.window_sq)
         try:
             pos = np.array([self.reported_positions[uid] for uid in self.node_order], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
@@ -135,6 +148,15 @@ def default_epsilon(paper_replication: bool = False) -> float:
     return EPSILON_BASE if paper_replication else EPSILON_BASE * EPSILON_MULTIPLIER
 
 
+def _resolve(comm_range: float, eps, window_sq, paper_replication: bool) -> tuple[float, float]:
+    """Displacement budget and acceptance window, with their defaults filled in."""
+    if eps is None:
+        eps = default_epsilon(paper_replication)
+    if window_sq is None:
+        window_sq = (comm_range / 2.0) ** 2
+    return eps, window_sq
+
+
 def assemble(
     sub_ids,
     scenario: AttackedScenario,
@@ -154,10 +176,7 @@ def assemble(
     if not ids:
         raise InvalidParameterError("sub-network must be nonempty")
     d = scenario.swarm.comm_range
-    if eps is None:
-        eps = default_epsilon(paper_replication)
-    if window_sq is None:
-        window_sq = (d / 2.0) ** 2
+    eps, window_sq = _resolve(d, eps, window_sq, paper_replication)
     members = set(ids)
     pos = {u.id: u.reported_pos for u in scenario.swarm.uavs if u.id in members}
     outgoing = scenario.measurements.outgoing
@@ -173,9 +192,7 @@ def assemble(
     )
 
 
-def check_feasibility(
-    problem: FeasibilityProblem, opts: OracleOptions | None = None, memo: dict | None = None
-) -> OracleResult:
+def check_feasibility(problem: FeasibilityProblem, opts: OracleOptions | None = None) -> OracleResult:
     """Decide feasibility of the lifted relaxation with certified slack bounds.
 
     The verdict compares two-sided bounds on the optimal phase-I slack (the
@@ -191,12 +208,13 @@ def check_feasibility(
     floored at zero, so it lower-bounds max(t*, 0) rather than the optimal
     slack t* itself; on a feasible call with t* < 0 it is not a bound on t*.
 
-    ``memo`` is internal to the detectors: a dict that lives for one
-    detection run and lets repeated per-node solves be looked up (see
-    ``conic.refine_witness``).  Results are the same with or without it.
+    The detectors do not come through here: they ask a ``ScenarioOracle``,
+    built once per detection run, which gives the same status for the same
+    sub-network without building this result (no witness, no lift, no
+    residuals).
     """
     opts = opts or OracleOptions()
-    witness, lower = conic.solve_phase1(problem.compiled(), opts.tol_feas, opts.tol_infeas, memo)
+    witness, lower = conic.solve_phase1(problem.compiled(), opts.tol_feas, opts.tol_infeas)
     upper = witness.slack
     max_residual, rank_gap = _residuals(conic.complete_lift(witness.X, witness.s))
     diagnostics: dict[str, float | str] = {
@@ -247,3 +265,136 @@ def _residuals(Z: np.ndarray) -> tuple[float, float | None]:
         desc = eigvals[::-1]
         rank_gap = float(desc[3] / desc[2]) if desc[2] > 1e-12 else None
     return max(sym, block, neg), rank_gap
+
+
+class ScenarioOracle:
+    """Feasibility status of sub-networks of one scenario, for one detection run.
+
+    ``check(sub_ids)`` gives the status ``check_feasibility(assemble(sub_ids,
+    ...))`` gives, with the sub-network settings of a
+    ``detectors.DetectorOptions`` (``eps``, ``delta``, ``window_sq``,
+    ``paper_replication`` and the ``oracle`` tolerances), but builds no
+    problem, witness or lift.  The relaxation is separable per UAV, so:
+
+    * the pairwise bound of a sub-network is the certified threshold of its
+      first pair (in ``assemble``'s order) with the largest closed-form
+      threshold, or zero when every pair in it admits no relaxation; the
+      thresholds are computed once for every directed pair of the scenario,
+      and certified when first needed;
+    * a node's verdict depends only on which of its measured counterparts are
+      in the sub-network.  It is kept per (node, counterparts present): the
+      slack of its own report when that is within ``tol_feas``, else the
+      (upper, lower) bounds of its ``conic.solve_node``.  Between calls only
+      nodes whose counterparts changed are looked up again.
+
+    The status is infeasible when the pairwise bound or some node's lower
+    bound reaches ``tol_infeas``, else feasible when every node's upper bound
+    is within ``tol_feas``, else unknown: the order in which nodes are
+    decided does not matter, as ``check_feasibility`` solves every node over
+    ``tol_feas`` until one proves infeasibility.
+    """
+
+    def __init__(self, scenario: AttackedScenario, options: DetectorOptions):
+        d = scenario.swarm.comm_range
+        eps, window_sq = _resolve(d, options.eps, options.window_sq, options.paper_replication)
+        _check_scalars(d, eps, options.delta, window_sq)
+        self.opts = options.oracle
+        self.n = scenario.n
+        outgoing = scenario.measurements.outgoing
+        pairs = [t for i in range(self.n) for t in outgoing.get(i, ())]
+        self.cons = conic.compile_constraints(
+            scenario.swarm.reported_positions(), pairs, d, eps, options.delta, window_sq
+        )
+        p = self.cons.n_pairs
+        self.src = self.cons.owner[:p]
+        self.dst = np.array([j for (_i, j, _r) in pairs], dtype=int)
+        # Node i's pair rows are first_row[i] up to first_row[i + 1].
+        self.first_row = np.searchsorted(self.src, np.arange(self.n + 1))
+        self.pairs = conic.PairThresholds.of(self.cons)
+        self.tau = self.pairs.thresholds()
+        self.unmet = ~self.pairs.satisfied(0.0)
+        self.certified: dict[int, float] = {}
+        self.verdicts: dict[tuple[int, bytes], tuple[float, float]] = {}
+        # Per-node verdicts for the pair rows marked in ``active``; a node
+        # is ``current`` while its rows there have not changed.
+        self.active = np.zeros(p, dtype=bool)
+        self.current = np.zeros(self.n, dtype=bool)
+        self.upper = np.zeros(self.n)
+        self.lower = np.zeros(self.n)
+
+    def check(self, sub_ids) -> str:
+        """Status of the sub-network ``sub_ids`` (an iterable of UAV ids)."""
+        member = self._member(sub_ids)
+        active = member[self.src] & member[self.dst]
+        if self._pairwise_bound(active) >= self.opts.tol_infeas:
+            return INFEASIBLE
+        self.current[self.src[active != self.active]] = False
+        self.active = active
+        return self._node_status(np.flatnonzero(member))
+
+    def pairwise_bound(self, sub_ids) -> float:
+        """The sub-network's pairwise bound: bit for bit what
+        ``conic.pairwise_slack_bound`` gives its assembled problem."""
+        member = self._member(sub_ids)
+        return self._pairwise_bound(member[self.src] & member[self.dst])
+
+    def _member(self, sub_ids) -> np.ndarray:
+        ids = np.fromiter(sub_ids, dtype=int)
+        if ids.size == 0:
+            raise InvalidParameterError("sub-network must be nonempty")
+        if ids.min() < 0 or ids.max() >= self.n:
+            raise InvalidParameterError("sub-network ids must be UAV ids of the scenario")
+        member = np.zeros(self.n, dtype=bool)
+        member[ids] = True
+        return member
+
+    def _pairwise_bound(self, active: np.ndarray) -> float:
+        if not np.any(active & self.unmet):
+            return 0.0
+        worst = int(np.argmax(np.where(active, self.tau, -np.inf)))
+        bound = self.certified.get(worst)
+        if bound is None:
+            bound = self.certified[worst] = self.pairs.certified(worst, self.tau[worst])
+        return bound
+
+    def _node_status(self, members: np.ndarray) -> str:
+        misses = []
+        for i in members[~self.current[members]]:
+            first = self.first_row[i]
+            present = self.active[first:self.first_row[i + 1]]
+            key = (int(i), present.tobytes())
+            hit = self.verdicts.get(key)
+            if hit is None:
+                misses.append((i, first + np.flatnonzero(present), key))
+            else:
+                self.upper[i], self.lower[i] = hit
+                self.current[i] = True
+        decided = members[self.current[members]]
+        if np.any(self.lower[decided] >= self.opts.tol_infeas) or self._decide(misses):
+            return INFEASIBLE
+        return FEASIBLE if bool(np.all(self.upper[members] <= self.opts.tol_feas)) else UNKNOWN
+
+    def _decide(self, misses: list) -> bool:
+        """Decide uncached nodes, worst report first.  Returns True as soon
+        as one is proven infeasible, leaving the rest undecided."""
+        if not misses:
+            return False
+        tol_feas, tol_infeas = self.opts.tol_feas, self.opts.tol_infeas
+        ids = [i for i, _rows, _key in misses]
+        rows = np.concatenate([r for _i, r, _key in misses] + [self.cons.n_pairs + np.array(ids)])
+        reports = self.cons.family(ids, rows)
+        report_slack = conic.evaluate_witness(reports, reports.positions.copy()).node_slack
+        for k in np.argsort(-report_slack, kind="stable"):
+            i, rows, key = misses[k]
+            if report_slack[k] <= tol_feas:
+                verdict = (float(report_slack[k]), -np.inf)
+            else:
+                family = self.cons.family([i], np.append(rows, self.cons.n_pairs + i))
+                found, lower = conic.solve_node(family, tol_feas, tol_infeas)
+                verdict = (found.slack, float(lower))
+            self.verdicts[key] = verdict
+            self.upper[i], self.lower[i] = verdict
+            self.current[i] = True
+            if verdict[1] >= tol_infeas:
+                return True
+        return False

@@ -153,13 +153,25 @@ class TestAlgorithmInvariants:
         scen = make_scenario("distributed", 2, seed=1, n=20)
         initial = init_of(scen)
         assert initial.suspected  # scenario produces live suspects
-        monkeypatch.setattr(
-            sdp, "check_feasibility",
-            lambda problem, opts=None, memo=None: sdp.OracleResult(sdp.UNKNOWN, np.inf, np.inf),
-        )
+        monkeypatch.setattr(sdp.ScenarioOracle, "check", lambda self, sub_ids: sdp.UNKNOWN)
         res = cdi(initial, scen, DetectorOptions(unknown_as_infeasible=False))
         assert res.predicted_malicious == frozenset(initial.suspected)
         assert "oracle-unknown" in res.flags
+
+
+class TestOptionValidation:
+    @pytest.mark.parametrize("bad,message", [
+        ({"eps": -1.0}, "need epsilon >= 0"),
+        ({"eps": np.nan}, "must be finite"),
+        ({"delta": 0.0}, "margin > 0"),
+        ({"window_sq": np.inf}, "must be finite"),
+    ])
+    def test_bad_sub_network_settings_rejected(self, bad, message):
+        scen = make_scenario("distributed", 2, seed=1, n=20)
+        initial = init_of(scen)
+        assert initial.suspected
+        with pytest.raises(InvalidParameterError, match=message):
+            cdi(initial, scen, DetectorOptions(**bad))
 
 
 class TestNodeSolveMemo:
@@ -167,39 +179,34 @@ class TestNodeSolveMemo:
         ("distributed", 4, 8, 1e-4), ("collusion", 4, 0, 1e-4), ("mixed", 6, 8, 1e-6),
     ])
     def test_memo_changes_nothing_but_the_work(self, monkeypatch, kind, m, seed, dist_var):
-        # The per-run memo of node solves must give the same oracle results
-        # and DetectionResult as solving every node afresh, while actually
-        # being hit (these scenarios need node solves in both detectors).
+        # The per-run scenario oracle keeps pair thresholds and per-node
+        # verdicts for the run: every sub-network a run asks about must get
+        # the status that check_feasibility gives its assembled problem,
+        # while node verdicts are actually reused (these scenarios need node
+        # solves in both detectors).
         scen = make_scenario(kind, m, seed=seed, n=30, dist_var=dist_var)
         initial = init_of(scen)
         solves = []
         solve_node = ss.conic.solve_node
         monkeypatch.setattr(ss.conic, "solve_node", lambda *a: solves.append(1) or solve_node(*a))
-        check = sdp.check_feasibility
+        check = sdp.ScenarioOracle.check
+        asked = []
 
-        def run(algo, use_memo):
-            solves.clear()
-            memos, verdicts = [], []
+        def recorded(oracle, sub_ids):
+            status = check(oracle, sub_ids)
+            asked.append((frozenset(sub_ids), status))
+            return status
 
-            def recorded(problem, opts=None, memo=None):
-                memos.append(memo)
-                res = check(problem, opts, memo if use_memo else None)
-                positions = sorted((k, v.tolist()) for k, v in (res.recovered_positions or {}).items())
-                verdicts.append((res.status, res.phase1_slack, res.max_residual, res.rank_gap,
-                                 sorted(res.diagnostics.items()), positions))
-                return res
-
-            monkeypatch.setattr(sdp, "check_feasibility", recorded)
-            return algo(initial, scen), verdicts, memos, len(solves)
-
+        monkeypatch.setattr(sdp.ScenarioOracle, "check", recorded)
         for algo in (cdi, ecdi):
-            fresh, fresh_verdicts, _, n_fresh = run(algo, use_memo=False)
-            reused, verdicts, memos, n_solved = run(algo, use_memo=True)
-            assert reused == fresh
-            assert verdicts == fresh_verdicts
-            assert all(m is memos[0] for m in memos)     # one memo per run
-            assert len(memos[0]) == n_solved             # every solve is stored once
-            assert 0 < n_solved < n_fresh                # and some lookups hit it
+            asked.clear()
+            solves.clear()
+            res = algo(initial, scen)
+            n_solved = len(solves)
+            assert res.oracle_calls == len(asked)
+            assert 0 < n_solved < res.oracle_calls
+            for sub, status in asked:
+                assert sdp.check_feasibility(sdp.assemble(sub, scen)).status == status
 
 
 class TestNlosBaseline:

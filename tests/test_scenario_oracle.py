@@ -1,0 +1,139 @@
+"""The detectors' per-run scenario oracle against the assembled-problem oracle.
+
+``sdp.ScenarioOracle`` decides a sub-network from pair thresholds and
+per-node verdicts kept for the whole run, never building the problem.  Every
+sub-network it is asked about must get the status ``check_feasibility`` gives
+``assemble`` of it, and the same pairwise bound bit for bit, whatever the
+order of the questions.  Sub-networks are drawn at random and in the shapes
+the detectors ask (trusted set plus one suspect, with or without its
+neighborhood).
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import swarmsentry as ss
+from swarmsentry import conic, sdp
+from swarmsentry.detectors import DetectorOptions
+from swarmsentry.suspects import build_reported_matrix, initial_suspects
+from swarmsentry.swarm import neighbor_set
+
+from conftest import hand_swarm, make_scenario
+
+SETTINGS = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def scenarios(draw):
+    kind = draw(st.sampled_from(("distributed", "collusion", "mixed")))
+    n = draw(st.integers(10, 20))
+    m = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 10_000))
+    dist_var = draw(st.sampled_from((1e-6, 1e-4)))
+    return make_scenario(kind, m, seed=seed, n=n, dist_var=dist_var)
+
+
+def sub_network(data, scen) -> frozenset[int]:
+    initial = initial_suspects(build_reported_matrix(scen), scen.measurements, scen.swarm.comm_range)
+    shape = data.draw(st.sampled_from(("random", "suspect", "neighborhood")))
+    if shape != "random" and initial.suspected:
+        k = data.draw(st.sampled_from(sorted(initial.suspected)))
+        sub = set(initial.trusted) | {k}
+        if shape == "neighborhood":
+            sub |= neighbor_set(scen.measurements, k)
+        return frozenset(sub)
+    mask = data.draw(st.lists(st.booleans(), min_size=scen.n, max_size=scen.n))
+    return frozenset(i for i, keep in enumerate(mask) if keep) or frozenset({0})
+
+
+class TestScenarioOracle:
+    @SETTINGS
+    @given(scen=scenarios(), data=st.data())
+    def test_matches_assembled_problem(self, scen, data):
+        oracle = sdp.ScenarioOracle(scen, DetectorOptions())
+        for _ in range(8):
+            sub = sub_network(data, scen)
+            problem = sdp.assemble(sub, scen)
+            assert oracle.check(sub) == sdp.check_feasibility(problem).status
+            assert oracle.pairwise_bound(sub) == conic.pairwise_slack_bound(problem.compiled())
+
+    @SETTINGS
+    @given(scen=scenarios(), data=st.data())
+    def test_certificate_monotonicity(self, scen, data):
+        # A certified verdict survives growing (infeasible) or shrinking
+        # (feasible) the sub-network: no superset of an infeasible
+        # sub-network is feasible, no subset of a feasible one infeasible.
+        oracle = sdp.ScenarioOracle(scen, DetectorOptions())
+        for _ in range(4):
+            sub = sub_network(data, scen)
+            status = oracle.check(sub)
+            extra = data.draw(st.sets(st.integers(0, scen.n - 1)))
+            keep = data.draw(st.lists(st.booleans(), min_size=len(sub), max_size=len(sub)))
+            smaller = frozenset(i for i, k in zip(sorted(sub), keep) if k) or frozenset({min(sub)})
+            if status == sdp.INFEASIBLE:
+                assert oracle.check(sub | extra) != sdp.FEASIBLE
+            if status == sdp.FEASIBLE:
+                assert oracle.check(smaller) != sdp.INFEASIBLE
+
+    @SETTINGS
+    @given(
+        D=st.floats(0.05, 0.29),
+        r0=st.floats(0.02, 0.45),
+        offsets=st.lists(st.integers(0, 12), min_size=2, max_size=6),
+    )
+    @example(D=0.151598, r0=0.375912, offsets=[3, 4, 7, 6, 1, 0])
+    def test_near_tied_pairs(self, D, r0, offsets):
+        # A star whose spokes sit at the same reported separation with
+        # claims a few ulps apart: pair thresholds nearly tie, and the
+        # certified step-down can reorder them.  The bound must still be
+        # the certified threshold of the first pair with the largest
+        # closed-form threshold, as on the assembled problem.
+        axes = np.vstack([np.eye(3), -np.eye(3)])[:len(offsets)]
+        entries = {}
+        for k, off in enumerate(offsets, start=1):
+            r = r0 + off * float(np.spacing(r0))
+            entries[(0, k)] = entries[(k, 0)] = r
+        positions = np.vstack([np.zeros(3), D * axes])
+        scen = ss.AttackedScenario(hand_swarm(positions), ss.MeasurementSet(len(positions), entries))
+        oracle = sdp.ScenarioOracle(scen, DetectorOptions())
+        for size in range(1, len(offsets) + 1):
+            for spokes in itertools.combinations(range(1, len(offsets) + 1), size):
+                sub = (0, *spokes)
+                problem = sdp.assemble(sub, scen)
+                assert oracle.pairwise_bound(sub) == conic.pairwise_slack_bound(problem.compiled())
+                assert oracle.check(sub) == sdp.check_feasibility(problem).status
+
+    @SETTINGS
+    @given(
+        past=st.lists(st.floats(0.0, 0.004), min_size=4, max_size=4),
+        order=st.permutations(range(15)),
+    )
+    def test_node_verdicts_follow_anchor_sets(self, past, order):
+        # UAV 0 measures four neighbors along +x, -x, +y and -y whose
+        # reports sit just past communication range.  It can move toward
+        # one or two of them within its displacement budget, not toward
+        # opposite ones, and no single pair shows the conflict, so the
+        # verdict of UAV 0 changes with which neighbors are present.
+        d = 0.3
+        axes = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
+        positions = np.vstack([np.zeros(3), (d + np.array(past))[:, None] * axes])
+        entries = {}
+        for k in range(1, 5):
+            entries[(0, k)] = entries[(k, 0)] = d - 1e-3
+        scen = ss.AttackedScenario(hand_swarm(positions, d), ss.MeasurementSet(5, entries))
+        oracle = sdp.ScenarioOracle(scen, DetectorOptions())
+        subsets = [(0, *c) for size in range(1, 5) for c in itertools.combinations(range(1, 5), size)]
+        for index in order:
+            sub = subsets[index]
+            assert oracle.check(sub) == sdp.check_feasibility(sdp.assemble(sub, scen)).status
+
+    def test_rejects_ids_outside_the_scenario(self):
+        scen = make_scenario("distributed", 2, seed=1, n=12)
+        oracle = sdp.ScenarioOracle(scen, DetectorOptions())
+        for bad in (set(), {0, 12}, {-1}):
+            with pytest.raises(ss.InvalidParameterError):
+                oracle.check(bad)

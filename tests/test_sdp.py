@@ -274,6 +274,27 @@ def loop_compile(positions, pairs, comm_range, epsilon, delta, window_sq):
     return np.array(owner), np.array(anchor), np.array(hi), np.array(lo)
 
 
+class TestOracleOptions:
+    @pytest.mark.parametrize("tol_feas,tol_infeas", [
+        (np.nan, 1e-4), (1e-6, np.nan), (-np.inf, 1e-4), (1e-6, np.inf),
+    ])
+    def test_non_finite_tolerances_rejected(self, tol_feas, tol_infeas):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            OracleOptions(tol_feas=tol_feas, tol_infeas=tol_infeas)
+
+    @pytest.mark.parametrize("tol_feas,tol_infeas", [(1e-3, 1e-6), (1e-4, 1e-4)])
+    def test_tolerance_gap_must_be_open(self, tol_feas, tol_infeas):
+        with pytest.raises(InvalidParameterError, match="tol_feas < tol_infeas"):
+            OracleOptions(tol_feas=tol_feas, tol_infeas=tol_infeas)
+
+    def test_detector_never_runs_on_nan_tolerance(self):
+        # A NaN tolerance used to make every verdict unknown, silently.
+        scen = make_scenario("distributed", 2, seed=1, n=20)
+        initial = ss.initial_suspects(ss.build_reported_matrix(scen), scen.measurements, 0.3)
+        with pytest.raises(InvalidParameterError):
+            ss.cdi(initial, scen, ss.DetectorOptions(oracle=OracleOptions(tol_feas=np.nan)))
+
+
 class TestConicEngine:
     @pytest.mark.parametrize("seed", range(4))
     def test_compile_matches_loop_reference(self, seed):
