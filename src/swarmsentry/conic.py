@@ -24,14 +24,19 @@ That question is answered with certified two-sided bounds:
 * every other node gets one deterministic log-barrier Newton solve on its
   five variables.  Its primal point, evaluated exactly, is an upper bound;
   its normalized central-path multipliers, fed to the node's closed-form
-  Lagrange dual, are a lower bound.
+  Lagrange dual, are a lower bound.  The solve stops at the first point
+  that certifies its verdict.  Only ``refine_witness``, the path whose
+  positions ``sdp.check_feasibility`` returns, then retracts a feasible
+  point toward the report (``retract``).
 
-The same pieces serve the detectors' per-run scenario oracle
-(``sdp.ScenarioOracle``): a pair's threshold depends only on that pair and a
-node's family only on which of its measured counterparts are present, so it
-compiles the whole scenario once (``PairThresholds``,
-``CompiledConstraints.family``) and decides each sub-network from per-pair
-thresholds and per-node verdicts it keeps for the run.
+The same pieces serve the detectors' scenario oracle
+(``sdp.ScenarioOracle``, one per ``detectors.DetectionContext``): a pair's
+threshold depends only on that pair and a node's family only on which of
+its measured counterparts are present, so it compiles the whole scenario
+once (``PairThresholds``, ``CompiledConstraints.family``) and decides each
+sub-network from per-pair thresholds and per-node verdicts it keeps for the
+context.  It needs only the certified slack bounds, so it takes node solves
+unretracted.
 
 Everything is deterministic: fixed schedules and step rules, no time-based
 decisions.
@@ -404,12 +409,11 @@ def solve_node(
     After each stage the position is evaluated exactly (upper bound) and the
     multipliers go through the closed-form dual (lower bound).  Stops once
     the upper bound proves the node feasible, the lower bound proves it
-    infeasible, or both lie inside the tolerance gap.  A witness that
-    satisfies every constraint outright is then retracted along the segment
-    toward the report as far as it keeps doing so, so recovered positions
-    stay close to the reports.
+    infeasible, or both lie inside the tolerance gap: the witness is the
+    barrier point that certified the verdict, wherever it lies within the
+    node's budget.  Only ``refine_witness``, whose positions are returned,
+    retracts it toward the report.
     """
-    report = cons.positions[0]
     barrier = NodeBarrier(cons)
     best = evaluate_witness(cons, cons.positions.copy())
     lower = -np.inf
@@ -425,22 +429,32 @@ def solve_node(
         ):
             break
         barrier.tau *= _BARRIER_GROWTH
-
-    target = min(tol_feas, 0.0)
-    if best.slack <= target:
-        # The node's exact slack is convex in its position, so the part of
-        # the segment from the report where it stays <= target is an
-        # interval ending at the witness: bisect for its near end.
-        offset = best.X[0] - report
-        near, far = 0.0, 1.0
-        for _ in range(_RETRACT_STEPS):
-            mid = 0.5 * (near + far)
-            cand = evaluate_witness(cons, (report + mid * offset)[None, :])
-            if cand.slack <= target:
-                far, best = mid, cand
-            else:
-                near = mid
     return best, lower
+
+
+def retract(cons: CompiledConstraints, witness: WitnessResult, target: float) -> WitnessResult:
+    """The point of the segment from a one-node family's report to
+    ``witness`` nearest the report whose exact slack is still <= ``target``
+    (``witness`` itself when it misses ``target``).
+
+    The node's exact slack is convex in its position, so the part of the
+    segment where it stays <= target is an interval ending at the witness:
+    bisect for its near end.  Without this, recovered positions sit
+    wherever the barrier stopped, up to the edge of the displacement budget.
+    """
+    if witness.slack > target:
+        return witness
+    report = cons.positions[0]
+    offset = witness.X[0] - report
+    near, far = 0.0, 1.0
+    for _ in range(_RETRACT_STEPS):
+        mid = 0.5 * (near + far)
+        cand = evaluate_witness(cons, (report + mid * offset)[None, :])
+        if cand.slack <= target:
+            far, witness = mid, cand
+        else:
+            near = mid
+    return witness
 
 
 def refine_witness(
@@ -451,14 +465,18 @@ def refine_witness(
     tol_infeas: float,
 ) -> float:
     """Replace, worst first, every node entry of ``witness`` that misses
-    ``tol_feas`` with its exact node solve, and return the call's lower bound
-    (``lower`` raised by each node's dual bound).  The first node proven
-    infeasible ends the loop.
+    ``tol_feas`` with its exact node solve, retracted toward the node's
+    report as far as it stays within min(tol_feas, 0) (``retract``), and
+    return the call's lower bound (``lower`` raised by each node's dual
+    bound).  The first node proven infeasible ends the loop.
     """
+    target = min(tol_feas, 0.0)
     for i in np.argsort(-witness.node_slack, kind="stable"):
         if witness.node_slack[i] <= tol_feas:
             break
-        found, node_lower = solve_node(cons.node(i), tol_feas, tol_infeas)
+        node = cons.node(i)
+        found, node_lower = solve_node(node, tol_feas, tol_infeas)
+        found = retract(node, found, target)
         witness.X[i], witness.s[i], witness.node_slack[i] = found.X[0], found.s[0], found.node_slack[0]
         lower = max(lower, node_lower)
         if lower >= tol_infeas:

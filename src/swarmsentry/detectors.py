@@ -18,6 +18,7 @@ receive the true attacker count; the proposed detectors never do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -70,26 +71,27 @@ class DetectionResult:
         return labels
 
 
-class _Run:
-    """Shared state of one detection run."""
+class DetectionContext:
+    """What every detection run on one scenario shares.
 
-    def __init__(self, initial: SuspectSets, scenario: AttackedScenario, options: DetectorOptions):
-        self.scenario = scenario
-        self.suspected = set(initial.suspected)
-        self.trusted = set(initial.trusted)
-        self.oracle_calls = 0
-        self.iterations = 0
-        self.passes = 0
-        self.trace: list[tuple[int, int, str]] = []
-        self.flags: set[str] = set()
-        # Neighborhoods overlap, so most pairs and node families repeat
-        # across this run's checks: one oracle keeps them for the run.
-        self.oracle = sdp.ScenarioOracle(scenario, options)
+    ``experiments.run_trial`` builds one per trial that runs ``cdi`` or
+    ``ecdi`` and hands it to each detector of the trial; a standalone
+    ``cdi``/``ecdi`` call builds its own, and nothing is kept on the
+    scenario, so no context outlives its trial or call.  It holds the
+    reported-distance matrix, the scenario's evidence (which the detectors
+    order and gate their checks by) and its feasibility oracle.  Oracle
+    verdicts depend only on the scenario and the sub-network, so a per-UAV
+    verdict one run computed serves every later run of the trial.
+    """
+
+    def __init__(self, scenario: AttackedScenario, options: DetectorOptions | None = None):
+        self.scenario = scenario = check_scenario(scenario)
+        self.options = options or DetectorOptions()
+        self.reported = build_reported_matrix(scenario)
         # Initial evidence against each id, used to order per-UAV refinement:
         # lightly-implicated members are assessed first so exonerations
         # accumulate benign context before heavily-implicated ones are tried.
-        e_r = build_reported_matrix(scenario)
-        self.evidence = violation_counts(e_r, scenario.measurements, scenario.swarm.comm_range)
+        self.evidence = violation_counts(self.reported, scenario.measurements, scenario.swarm.comm_range)
         # Who claims a measurement about each id: a singleton check of id is
         # conclusive only once these counterparties have been assessed.
         self.accusers: dict[int, set[int]] = {u.id: set() for u in scenario.swarm.uavs}
@@ -127,6 +129,35 @@ class _Run:
             k for k in claimants
             if not (self.accusers[k] - self.discredited - {k}) and k not in accusing_anyone
         }
+
+    @cached_property
+    def oracle(self) -> sdp.ScenarioOracle:
+        """Neighborhoods overlap, so most pairs and per-UAV verdicts repeat
+        across checks and runs: one oracle keeps them for the context.
+        Built on first use, so the sampling baselines never pay for it."""
+        return sdp.ScenarioOracle(self.scenario, self.options)
+
+    def serves(self, scenario: AttackedScenario, options: DetectorOptions | None) -> "DetectionContext":
+        """This context, after checking it was built for ``scenario`` and
+        (unless None) ``options``."""
+        if scenario is not self.scenario or (options is not None and options != self.options):
+            raise InvalidParameterError("a detection context serves only the scenario and options it was built for")
+        return self
+
+
+class _Run:
+    """Per-run state of one detection run over a shared context."""
+
+    def __init__(self, initial: SuspectSets, context: DetectionContext):
+        self.context = context
+        self.oracle = context.oracle
+        self.suspected = set(initial.suspected)
+        self.trusted = set(initial.trusted)
+        self.oracle_calls = 0
+        self.iterations = 0
+        self.passes = 0
+        self.trace: list[tuple[int, int, str]] = []
+        self.flags: set[str] = set()
 
     def check(self, sub_ids: set[int], assessed: int) -> str:
         status = self.oracle.check(sub_ids)
@@ -170,9 +201,10 @@ def _singleton_sweep(run: _Run) -> bool:
     base that the heavily-implicated ids (attackers, if anyone) must then
     reconcile with.
     """
+    ctx = run.context
     changed = False
-    for k in sorted(run.suspected, key=lambda v: (run.evidence.get(v, 0), v)):
-        if k in run.unvouched or (run.conflicting_accusers[k] & run.suspected) - {k}:
+    for k in sorted(run.suspected, key=lambda v: (ctx.evidence.get(v, 0), v)):
+        if k in ctx.unvouched or (ctx.conflicting_accusers[k] & run.suspected) - {k}:
             continue
         run.iterations += 1
         if run.check(run.trusted | {k}, assessed=k) == sdp.FEASIBLE:
@@ -182,47 +214,57 @@ def _singleton_sweep(run: _Run) -> bool:
 
 
 def _neighborhood(run: _Run, k: int) -> frozenset[int]:
-    return neighbor_set(run.scenario.measurements, k)
+    return neighbor_set(run.context.scenario.measurements, k)
 
 
 def cdi(
     initial: SuspectSets,
     scenario: AttackedScenario,
     options: DetectorOptions | None = None,
+    *,
+    context: DetectionContext | None = None,
 ) -> DetectionResult:
     """Neighborhood-granularity exoneration.
 
     Suspects are assessed in ascending-id circular order; each one is tested
     together with its one-hop neighbors on top of the trusted set, and the
     whole neighborhood is cleared when the sub-network localizes.  Stops after
-    the first full pass without a change.
+    the first full pass without a change.  ``context``, when given, is the
+    ``DetectionContext`` of ``scenario`` and ``options`` that other runs
+    share; otherwise the run builds its own.
     """
-    return _iterate(initial, scenario, options or DetectorOptions(), refine=False)
+    return _iterate(initial, scenario, options, context, refine=False)
 
 
 def ecdi(
     initial: SuspectSets,
     scenario: AttackedScenario,
     options: DetectorOptions | None = None,
+    *,
+    context: DetectionContext | None = None,
 ) -> DetectionResult:
     """Neighborhood exoneration with per-UAV refinement on failure.
 
     Like the neighborhood detector, but when a neighborhood fails its check,
     each suspected member is re-assessed alone against the trusted set.  The
     per-UAV step is what clears framed targets while keeping the colluders.
+    ``context`` is as for ``cdi``.
     """
-    return _iterate(initial, scenario, options or DetectorOptions(), refine=True)
+    return _iterate(initial, scenario, options, context, refine=True)
 
 
 def _iterate(
     initial: SuspectSets,
     scenario: AttackedScenario,
-    options: DetectorOptions,
+    options: DetectorOptions | None,
+    context: DetectionContext | None,
     refine: bool,
 ) -> DetectionResult:
     scenario = check_scenario(scenario)
     initial = check_partition(initial, scenario.n)
-    run = _Run(initial, scenario, options)
+    ctx = DetectionContext(scenario, options) if context is None else context.serves(scenario, options)
+    options = ctx.options
+    run = _Run(initial, ctx)
     if not run.suspected:
         return run.result()
 
@@ -251,7 +293,7 @@ def _iterate(
                 # each other; a neighbor is cleared wholesale only when all of
                 # its own evidence was inside the tested set, otherwise it
                 # must earn exoneration through its own assessment.
-                movable = ({k} | {v for v in hood if _neighborhood(run, v) <= tested}) - run.unvouched
+                movable = ({k} | {v for v in hood if _neighborhood(run, v) <= tested}) - ctx.unvouched
                 if movable & run.suspected:
                     run.exonerate(movable)
                     changed = True
@@ -263,11 +305,11 @@ def _iterate(
                 # would not see the accuser's claims and could clear it on
                 # incomplete evidence.
                 members = sorted(
-                    ({k} | hood) & run.suspected - run.unvouched,
-                    key=lambda v: (run.evidence.get(v, 0), v),
+                    ({k} | hood) & run.suspected - ctx.unvouched,
+                    key=lambda v: (ctx.evidence.get(v, 0), v),
                 )
                 for member in members:
-                    if (run.accusers[member] & run.suspected) - {member}:
+                    if (ctx.accusers[member] & run.suspected) - {member}:
                         continue
                     run.iterations += 1
                     if run.check(run.trusted | {member}, assessed=member) == sdp.FEASIBLE:
@@ -294,22 +336,26 @@ def detect(
     options: DetectorOptions | None = None,
     malicious_count: int | None = None,
     seed: int = 0,
+    *,
+    context: DetectionContext | None = None,
 ) -> DetectionResult:
     """Run one named algorithm on a scenario from its initial partition.
 
     The feasibility detectors take ``options``; the sampling baselines need
-    the true attacker count and draw from ``seed``.
+    the true attacker count and draw from ``seed``.  A ``context`` built for
+    this scenario and these options is shared with the other runs given it
+    (its reported-distance matrix serves the discrepancy baseline too).
     """
     if algo == CDI:
-        return cdi(initial, scenario, options)
+        return cdi(initial, scenario, options, context=context)
     if algo == ECDI:
-        return ecdi(initial, scenario, options)
+        return ecdi(initial, scenario, options, context=context)
     if algo not in ALGORITHMS:
         raise InvalidParameterError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
     if malicious_count is None:
         raise InvalidParameterError(f"the {algo} baseline needs the true attacker count")
     if algo == NLOS:
-        e_r = build_reported_matrix(scenario)
+        e_r = build_reported_matrix(scenario) if context is None else context.serves(scenario, options).reported
         picked = nlos_baseline(e_r, scenario.measurements, malicious_count, seed)
     else:
         picked = random_baseline(initial.suspected, malicious_count, seed)

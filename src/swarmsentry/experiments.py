@@ -18,7 +18,7 @@ import numpy as np
 
 from . import seeds
 from .attacks import ATTACK_KINDS, build_attack
-from .detectors import ALGORITHMS, DetectorOptions, detect
+from .detectors import ALGORITHMS, CDI, ECDI, DetectionContext, DetectorOptions, detect
 from .metrics import malicious_ratio, precision_recall_f1
 from .suspects import build_reported_matrix, initial_suspects
 from .swarm import InvalidParameterError, NoiseParams, apply_position_noise, generate_swarm, measure_distances
@@ -160,15 +160,20 @@ def run_trial(config: ExperimentConfig, point_index: int, trial_index: int) -> T
     point = config.at_point(config.sweep_values[point_index])
     seed = trial_seed(config.base_seed, point_index, trial_index)
     scenario = build_scenario(point, seed)
-    initial = initial_suspects(build_reported_matrix(scenario), scenario.measurements, scenario.swarm.comm_range)
+    options = DetectorOptions(paper_replication=point.paper_replication)
+    # Every feasibility detector of the trial asks about the same scenario:
+    # one context shares its evidence and oracle verdicts, and ends with the
+    # trial.  A trial of sampling baselines alone needs only the matrix.
+    context = DetectionContext(scenario, options) if {CDI, ECDI} & set(point.algorithms) else None
+    e_r = build_reported_matrix(scenario) if context is None else context.reported
+    initial = initial_suspects(e_r, scenario.measurements, scenario.swarm.comm_range)
     truth = scenario.truth()
     r_m = malicious_ratio(initial)
-    options = DetectorOptions(paper_replication=point.paper_replication)
 
     outcomes: dict[str, AlgoOutcome] = {}
     for algo in point.algorithms:
         start = time.perf_counter()
-        res = detect(algo, scenario, initial, options, point.malicious_count, seed)
+        res = detect(algo, scenario, initial, options, point.malicious_count, seed, context=context)
         elapsed_ms = (time.perf_counter() - start) * 1000.0 if point.timing else 0.0
         p, r, f1 = precision_recall_f1(res.predicted_malicious, truth)
         outcomes[algo] = AlgoOutcome(res.predicted_malicious, p, r, f1, res.oracle_calls, elapsed_ms)

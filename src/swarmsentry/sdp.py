@@ -209,7 +209,8 @@ def check_feasibility(problem: FeasibilityProblem, opts: OracleOptions | None = 
     slack t* itself; on a feasible call with t* < 0 it is not a bound on t*.
 
     The detectors do not come through here: they ask a ``ScenarioOracle``,
-    built once per detection run, which gives the same status for the same
+    built once per ``detectors.DetectionContext`` (one per trial, or per
+    standalone detector call), which gives the same status for the same
     sub-network without building this result (no witness, no lift, no
     residuals).
     """
@@ -268,7 +269,8 @@ def _residuals(Z: np.ndarray) -> tuple[float, float | None]:
 
 
 class ScenarioOracle:
-    """Feasibility status of sub-networks of one scenario, for one detection run.
+    """Feasibility status of sub-networks of one scenario, for the detection
+    runs of one ``detectors.DetectionContext``.
 
     ``check(sub_ids)`` gives the status ``check_feasibility(assemble(sub_ids,
     ...))`` gives, with the sub-network settings of a
@@ -284,8 +286,10 @@ class ScenarioOracle:
     * a node's verdict depends only on which of its measured counterparts are
       in the sub-network.  It is kept per (node, counterparts present): the
       slack of its own report when that is within ``tol_feas``, else the
-      (upper, lower) bounds of its ``conic.solve_node``.  Between calls only
-      nodes whose counterparts changed are looked up again.
+      (upper, lower) bounds of its ``conic.solve_node``, which stops at its
+      certificate (no retraction: no position is returned).  Between calls
+      only nodes whose counterparts changed are looked up again, whichever
+      run made the previous call.
 
     The status is infeasible when the pairwise bound or some node's lower
     bound reaches ``tol_infeas``, else feasible when every node's upper bound

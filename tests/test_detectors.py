@@ -6,6 +6,7 @@ import swarmsentry as ss
 from swarmsentry import sdp
 from swarmsentry.detectors import (
     CdiDetector,
+    DetectionContext,
     DetectorOptions,
     EcdiDetector,
     NlosDetector,
@@ -207,6 +208,80 @@ class TestNodeSolveMemo:
             assert 0 < n_solved < res.oracle_calls
             for sub, status in asked:
                 assert sdp.check_feasibility(sdp.assemble(sub, scen)).status == status
+
+
+def counted_node_solves(monkeypatch) -> list:
+    """Patch ``conic.solve_node`` to append to the returned list per call."""
+    solves = []
+    solve_node = ss.conic.solve_node
+    monkeypatch.setattr(ss.conic, "solve_node", lambda *a: solves.append(1) or solve_node(*a))
+    return solves
+
+
+class TestDetectionContext:
+    # One scenario per attack kind whose runs need node solves in both detectors.
+    CASES = [("distributed", 4, 8, 1e-4), ("collusion", 4, 0, 1e-4), ("mixed", 6, 8, 1e-6)]
+
+    def test_shared_context_changes_nothing_but_the_work(self, monkeypatch):
+        # cdi then ecdi through one trial context give the results of
+        # standalone runs (predicted set, trace, oracle calls, passes and
+        # flags), and the second run reuses node verdicts of the first.
+        solves = counted_node_solves(monkeypatch)
+        fewer = []
+        for kind, m, seed, dist_var in self.CASES:
+            scen = make_scenario(kind, m, seed=seed, n=30, dist_var=dist_var)
+            initial = init_of(scen)
+            options = DetectorOptions()
+            standalone = {}
+            for algo in (cdi, ecdi):
+                solves.clear()
+                standalone[algo] = algo(initial, scen, options), len(solves)
+            context = DetectionContext(scen, options)
+            for algo in (cdi, ecdi):
+                solves.clear()
+                res = algo(initial, scen, options, context=context)
+                assert res == standalone[algo][0]
+                assert len(solves) <= standalone[algo][1]
+            assert standalone[ecdi][1] > 0
+            fewer.append(len(solves) < standalone[ecdi][1])
+        assert any(fewer)
+
+    def test_standalone_runs_share_nothing(self, monkeypatch):
+        # Nothing is cached across calls or on the scenario: a repeated
+        # standalone run does all of its node solves again.
+        solves = counted_node_solves(monkeypatch)
+        kind, m, seed, dist_var = self.CASES[0]
+        scen = make_scenario(kind, m, seed=seed, n=30, dist_var=dist_var)
+        initial = init_of(scen)
+        counts = []
+        for _ in range(2):
+            solves.clear()
+            ecdi(initial, scen)
+            counts.append(len(solves))
+        assert counts[0] == counts[1] > 0
+
+    def test_detect_passes_the_context_on(self, monkeypatch):
+        scen = make_scenario("distributed", 4, seed=8, n=30, dist_var=1e-4)
+        initial = init_of(scen)
+        options = DetectorOptions()
+        context = DetectionContext(scen, options)
+        assert detect("cdi", scen, initial, options, context=context) == cdi(initial, scen, options)
+        # The discrepancy baseline reads the context's matrix, building none.
+        expected = detect("nlos", scen, initial, options, 4, seed=3)
+        monkeypatch.setattr(ss.detectors, "build_reported_matrix", None)
+        assert detect("nlos", scen, initial, options, 4, seed=3, context=context) == expected
+
+    def test_context_of_another_scenario_or_options_rejected(self):
+        scen = make_scenario("distributed", 4, seed=8, n=30)
+        other = make_scenario("distributed", 4, seed=9, n=30)
+        initial = init_of(scen)
+        context = DetectionContext(scen, DetectorOptions())
+        with pytest.raises(InvalidParameterError, match="detection context"):
+            ecdi(init_of(other), other, context=context)
+        with pytest.raises(InvalidParameterError, match="detection context"):
+            cdi(initial, scen, DetectorOptions(paper_replication=True), context=context)
+        with pytest.raises(InvalidParameterError, match="detection context"):
+            detect("nlos", other, init_of(other), malicious_count=4, context=context)
 
 
 class TestNlosBaseline:

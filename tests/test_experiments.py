@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from swarmsentry import experiments
 from swarmsentry.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -99,6 +102,25 @@ class TestTrials:
         trial = run_trial(config, 0, 0)
         for algo in ("nlos", "random"):
             assert len(trial.outcomes[algo].predicted) <= 3
+
+    def test_baseline_only_trial_builds_no_detection_context(self, monkeypatch):
+        # Only the feasibility detectors read a detection context: a trial of
+        # sampling baselines alone builds none and gives the same result.
+        config = tiny_config(algorithms=("nlos", "random"))
+        expected = run_trial(config, 1, 0)
+        monkeypatch.setattr(experiments, "DetectionContext", None)
+        assert run_trial(config, 1, 0) == expected
+
+    def test_timing_fills_only_the_runtime_column(self):
+        # With timing on every detector of a trial (sharing one context)
+        # gets a positive runtime; all other outcome fields are unchanged.
+        config = tiny_config()
+        plain = run_trial(config, 1, 0)
+        timed = run_trial(replace(config, timing=True), 1, 0)
+        assert timed.outcomes.keys() == plain.outcomes.keys()
+        for algo, outcome in timed.outcomes.items():
+            assert outcome.runtime_ms > 0.0
+            assert replace(outcome, runtime_ms=0.0) == plain.outcomes[algo]
 
     def test_malicious_ratio_consistent(self):
         config = tiny_config()

@@ -385,3 +385,32 @@ class TestConicEngine:
             moved = np.linalg.norm(X - cons.positions, axis=1)
             assert np.all(moved ** 2 + witness.s <= problem.epsilon)
             assert res.max_residual <= 1e-12
+
+    def test_node_solve_stops_at_its_certificate(self):
+        # On the instances above, each node's own solve returns the barrier
+        # point that certified it, unretracted; the recovered position is
+        # that point pulled back along the segment toward the report.
+        opts = OracleOptions()
+        swarm = hand_swarm([[0.0, 0.0, 0.0], [0.3005, 0.0, 0.0]])
+        ms = ss.MeasurementSet(2, {(0, 1): 0.2999, (1, 0): 0.2999})
+        pulled_back = []
+        for problem in (assemble([0, 1], ss.AttackedScenario(swarm, ms)),
+                        assemble(range(8), honest_scenario(seed=6, n=8))):
+            res = check_feasibility(problem, opts)
+            assert res.status == FEASIBLE
+            cons = problem.compiled()
+            for k, uid in enumerate(problem.node_order):
+                found, _lower = conic.solve_node(cons.node(k), opts.tol_feas, opts.tol_infeas)
+                assert found.slack <= opts.tol_feas
+                report, raw = cons.positions[k], found.X[0]
+                offset, pulled = raw - report, res.recovered_positions[uid] - report
+                if not offset.any():
+                    assert not pulled.any()
+                    continue
+                lam = float(pulled @ offset) / float(offset @ offset)
+                assert 0.0 <= lam <= 1.0
+                assert np.linalg.norm(pulled - lam * offset) <= 1e-12 * np.linalg.norm(offset)
+                assert np.linalg.norm(pulled) <= np.linalg.norm(offset)
+                pulled_back.append(lam < 1.0)
+        # The boundary pair's solves stop well short of their retraction.
+        assert pulled_back == [True, True]
