@@ -16,6 +16,7 @@ disagree; that asymmetry is evidence for the detectors, not a bug.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -320,6 +321,8 @@ def build_attack(
     """
     if kind not in ATTACK_KINDS:
         raise InvalidParameterError(f"unknown attack kind {kind!r}")
+    if not (0 <= dist_var < math.inf and (fake_offset_min is None or 0 <= fake_offset_min < math.inf)):
+        raise InvalidParameterError("dist_var and fake_offset_min must be nonnegative and finite")
     malicious = select_malicious(swarm, m, seed)
     if not malicious:
         return AttackedScenario(_mark_malicious(swarm, malicious), measurements,

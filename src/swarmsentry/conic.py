@@ -15,28 +15,25 @@ relaxation t* of the whole system is the maximum over nodes of each node's
 own optimum, a convex program in (x, y = ||x||^2 + s, t): linear constraints
 plus y >= ||x||^2.
 
-That question is answered with certified two-sided bounds:
+That question is answered with certified two-sided bounds by one decision
+core, which ``sdp.check_feasibility`` (one assembled sub-network) and
+``sdp.ScenarioOracle`` (the detectors' sub-networks of one scenario) share:
 
-* a closed-form pairwise bound runs first and certifies most infeasible
-  sub-networks without any solve;
-* a node's own report, with its best Gram surplus, is its witness when it
-  already satisfies the tolerance;
-* every other node gets one deterministic log-barrier Newton solve on its
-  five variables.  Its primal point, evaluated exactly, is an upper bound;
-  its normalized central-path multipliers, fed to the node's closed-form
-  Lagrange dual, are a lower bound.  The solve stops at the first point
-  that certifies its verdict.  Only ``refine_witness``, the path whose
-  positions ``sdp.check_feasibility`` returns, then retracts a feasible
-  point toward the report (``retract``).
+* the pairwise bound, ``PairThresholds.bound`` over the sub-network's pairs,
+  is closed form and certifies most infeasible sub-networks without any
+  solve;
+* the node loop, ``refine_witness``, starts from each node's own report
+  with its best Gram surplus, and gives every node that misses the
+  tolerance, worst first, one deterministic log-barrier Newton solve on its
+  five variables (``solve_node``).  Its primal point, evaluated exactly, is
+  an upper bound; its normalized central-path multipliers, fed to the
+  node's closed-form Lagrange dual, are a lower bound.  The solve stops at
+  the first point that certifies its verdict, and the loop at the first
+  node proven infeasible;
+* ``sdp.verdict`` turns the two bounds into a status.
 
-The same pieces serve the detectors' scenario oracle
-(``sdp.ScenarioOracle``, one per ``detectors.DetectionContext``): a pair's
-threshold depends only on that pair and a node's family only on which of
-its measured counterparts are present, so it compiles the whole scenario
-once (``PairThresholds``, ``CompiledConstraints.family``) and decides each
-sub-network from per-pair thresholds and per-node verdicts it keeps for the
-context.  It needs only the certified slack bounds, so it takes node solves
-unretracted.
+Only ``sdp.check_feasibility``, which returns positions, then pulls each
+solved node's point back toward its report (``retract``).
 
 Everything is deterministic: fixed schedules and step rules, no time-based
 decisions.
@@ -44,7 +41,8 @@ decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -159,7 +157,7 @@ class PairThresholds:
     at most eps + t, so each pair functional is boxed into an interval
     around D.  Each of the three conditions of ``satisfied`` (the interval
     reaches down to hi, up to lo, and the slab is nonempty) is monotone in
-    t, so a pair's threshold is the largest of their roots:
+    t, so a pair's threshold ``tau`` is the largest of their roots:
 
     * upper: (D - r)^2 <= hi + t holds from r = (D^2 - hi + eps) / (2 D)
       while that root is at most D, else (and at D = 0) from t = -hi;
@@ -171,6 +169,7 @@ class PairThresholds:
     hi: np.ndarray
     lo: np.ndarray
     eps: float
+    _certified: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, cons: CompiledConstraints) -> "PairThresholds":
@@ -189,10 +188,16 @@ class PairThresholds:
         ok_nonempty = lo - t <= hi + t
         return ok_upper & ok_lower & ok_nonempty
 
-    def thresholds(self) -> np.ndarray:
+    @cached_property
+    def unmet(self) -> np.ndarray:
+        """The pairs that admit no relaxation t = 0."""
+        return ~self.satisfied(0.0)
+
+    @cached_property
+    def tau(self) -> np.ndarray:
         """Each pair's closed-form threshold."""
         D, hi, lo, eps = self.D, self.hi, self.lo, self.eps
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             r_up = (D * D - hi + eps) / (2.0 * D)
             t_up = np.where((D > 0) & (r_up <= D), np.maximum(r_up, 0.0) ** 2 - eps, -hi)
             # Positive root of the lower condition, in its cancellation-free form.
@@ -202,11 +207,27 @@ class PairThresholds:
             t_lo = np.where(disc >= 0, np.maximum(r_lo, 0.0) ** 2 - eps, -np.inf)
         return np.maximum(np.maximum(t_up, t_lo), (lo - hi) / 2.0)
 
-    def certified(self, k: int, tau: float) -> float:
-        """Pair ``k``'s threshold ``tau`` stepped down until the float
-        predicate rejects that pair, so it certifies as an exact bisection
-        would; zero when no positive relaxation is rejected."""
-        bound, step = float(tau), 0.0
+    def bound(self, mask: np.ndarray | None = None) -> float:
+        """Certified lower bound on the slack of the pairs in ``mask`` (all
+        pairs by default): the certified threshold of the first of them with
+        the largest ``tau``, or zero when each of them admits t = 0.
+
+        Nonnegative by construction; zero is vacuous (no violation provable
+        this way).  Certified thresholds are kept per pair.
+        """
+        unmet = self.unmet if mask is None else self.unmet & mask
+        if not np.any(unmet):
+            return 0.0
+        worst = int(np.argmax(self.tau if mask is None else np.where(mask, self.tau, -np.inf)))
+        if worst not in self._certified:
+            self._certified[worst] = self._certify(worst)
+        return self._certified[worst]
+
+    def _certify(self, k: int) -> float:
+        """Pair ``k``'s threshold stepped down until the float predicate
+        rejects that pair, so it certifies as an exact bisection would; zero
+        when no positive relaxation is rejected."""
+        bound, step = float(self.tau[k]), 0.0
         for _ in range(_CERTIFY_STEPS):
             if bound <= 0.0:
                 return 0.0
@@ -220,20 +241,9 @@ class PairThresholds:
 
 
 def pairwise_slack_bound(cons: CompiledConstraints) -> float:
-    """Certified lower bound on the optimal slack from single-pair analysis.
-
-    Nonnegative by construction; zero is vacuous (no violation provable this
-    way), any positive value is a valid bound: the largest pair threshold of
-    ``PairThresholds``, certified by ``PairThresholds.certified``.
-    """
-    if cons.n_pairs == 0:
-        return 0.0
-    pairs = PairThresholds.of(cons)
-    if bool(np.all(pairs.satisfied(0.0))):
-        return 0.0
-    tau = pairs.thresholds()
-    worst = int(np.argmax(tau))
-    return pairs.certified(worst, tau[worst])
+    """Certified lower bound on the optimal slack from single-pair analysis:
+    ``PairThresholds.bound`` over every pair of ``cons``."""
+    return PairThresholds.of(cons).bound()
 
 
 def dual_slack_bound(cons: CompiledConstraints, w_up: np.ndarray, w_lo: np.ndarray) -> float:
@@ -309,6 +319,14 @@ class WitnessResult:
     @property
     def slack(self) -> float:
         return float(np.max(self.node_slack))
+
+    def entry(self, i: int) -> "WitnessResult":
+        """Node ``i``'s entry, as a witness of its one-node family."""
+        return WitnessResult(self.X[i:i + 1], self.s[i:i + 1], self.node_slack[i:i + 1])
+
+    def put(self, i: int, node: "WitnessResult") -> None:
+        """Replace node ``i``'s entry with a one-node witness."""
+        self.X[i], self.s[i], self.node_slack[i] = node.X[0], node.s[0], node.node_slack[0]
 
 
 def evaluate_witness(cons: CompiledConstraints, X: np.ndarray) -> WitnessResult:
@@ -411,8 +429,7 @@ def solve_node(
     the upper bound proves the node feasible, the lower bound proves it
     infeasible, or both lie inside the tolerance gap: the witness is the
     barrier point that certified the verdict, wherever it lies within the
-    node's budget.  Only ``refine_witness``, whose positions are returned,
-    retracts it toward the report.
+    node's budget, unretracted.
     """
     barrier = NodeBarrier(cons)
     best = evaluate_witness(cons, cons.positions.copy())
@@ -458,45 +475,19 @@ def retract(cons: CompiledConstraints, witness: WitnessResult, target: float) ->
 
 
 def refine_witness(
-    cons: CompiledConstraints,
-    witness: WitnessResult,
-    lower: float,
-    tol_feas: float,
-    tol_infeas: float,
-) -> float:
-    """Replace, worst first, every node entry of ``witness`` that misses
-    ``tol_feas`` with its exact node solve, retracted toward the node's
-    report as far as it stays within min(tol_feas, 0) (``retract``), and
-    return the call's lower bound (``lower`` raised by each node's dual
-    bound).  The first node proven infeasible ends the loop.
+    cons: CompiledConstraints, witness: WitnessResult, tol_feas: float, tol_infeas: float
+) -> dict[int, float]:
+    """The oracle's node loop: replace, worst first, every node entry of
+    ``witness`` that misses ``tol_feas`` with its node solve (``solve_node``,
+    unretracted), and return each solved node's lower bound by local index.
+    The first node whose lower bound reaches ``tol_infeas`` ends the loop.
     """
-    target = min(tol_feas, 0.0)
-    for i in np.argsort(-witness.node_slack, kind="stable"):
+    lowers: dict[int, float] = {}
+    for i in np.argsort(-witness.node_slack, kind="stable").tolist():
         if witness.node_slack[i] <= tol_feas:
             break
-        node = cons.node(i)
-        found, node_lower = solve_node(node, tol_feas, tol_infeas)
-        found = retract(node, found, target)
-        witness.X[i], witness.s[i], witness.node_slack[i] = found.X[0], found.s[0], found.node_slack[0]
-        lower = max(lower, node_lower)
-        if lower >= tol_infeas:
+        found, lowers[i] = solve_node(cons.node(i), tol_feas, tol_infeas)
+        witness.put(i, found)
+        if lowers[i] >= tol_infeas:
             break
-    return lower
-
-
-def solve_phase1(
-    cons: CompiledConstraints, tol_feas: float, tol_infeas: float
-) -> tuple[WitnessResult, float]:
-    """Certified bounds on the optimal phase-I slack of a sub-network.
-
-    Returns the witness (its ``slack`` is the upper bound, the maximum over
-    nodes) and the lower bound (the pairwise bound or the largest node dual
-    bound, so floored at zero like the pairwise bound).  Each node starts
-    from its own report; the pairwise bound may settle the call before any
-    node is solved.
-    """
-    lower = pairwise_slack_bound(cons)
-    witness = evaluate_witness(cons, cons.positions.copy())
-    if lower < tol_infeas:
-        lower = refine_witness(cons, witness, lower, tol_feas, tol_infeas)
-    return witness, lower
+    return lowers

@@ -51,8 +51,6 @@ class ExperimentConfig:
             raise InvalidParameterError(f"sweep_param must be one of {SWEEP_PARAMS}")
         if not self.sweep_values:
             raise InvalidParameterError("sweep_values must be nonempty")
-        if self.trials_per_point < 1:
-            raise InvalidParameterError("trials_per_point must be >= 1")
         if self.attack not in ATTACK_KINDS:
             raise InvalidParameterError(f"attack must be one of {ATTACK_KINDS}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -67,6 +65,15 @@ class ExperimentConfig:
         for name, value in scalars:
             if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
                 raise InvalidParameterError(f"{name} must be nonnegative and finite, got {value!r}")
+        counts = [("n_uavs", self.n_uavs), ("malicious_count", self.malicious_count),
+                  ("trials_per_point", self.trials_per_point), ("base_seed", self.base_seed)]
+        if self.sweep_param in ("malicious_count", "n_uavs"):
+            counts += [(self.sweep_param, v) for v in self.sweep_values]
+        for name, value in counts:
+            if not (isinstance(value, numbers.Integral) and value >= 0):
+                raise InvalidParameterError(f"{name} must be a nonnegative integer, got {value!r}")
+        if self.trials_per_point < 1:
+            raise InvalidParameterError("trials_per_point must be >= 1")
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
 

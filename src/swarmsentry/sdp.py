@@ -148,6 +148,19 @@ def default_epsilon(paper_replication: bool = False) -> float:
     return EPSILON_BASE if paper_replication else EPSILON_BASE * EPSILON_MULTIPLIER
 
 
+def _uav_ids(sub_ids, n: int) -> np.ndarray:
+    """The ids of a sub-network of a scenario of ``n`` UAVs, as an integer
+    array: nonempty, integers (no truncated floats) and within the scenario."""
+    ids = np.array(list(sub_ids))
+    if ids.size == 0:
+        raise InvalidParameterError("sub-network must be nonempty")
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise InvalidParameterError(f"sub-network ids must be integers, got {sub_ids!r}")
+    if ids.min() < 0 or ids.max() >= n:
+        raise InvalidParameterError("sub-network ids must be UAV ids of the scenario")
+    return ids
+
+
 def _resolve(comm_range: float, eps, window_sq, paper_replication: bool) -> tuple[float, float]:
     """Displacement budget and acceptance window, with their defaults filled in."""
     if eps is None:
@@ -172,9 +185,7 @@ def assemble(
     acceptance window of the distance to the counterpart's report, and that
     distance must stay within communication range.
     """
-    ids = tuple(sorted(set(int(i) for i in sub_ids)))
-    if not ids:
-        raise InvalidParameterError("sub-network must be nonempty")
+    ids = tuple(np.unique(_uav_ids(sub_ids, scenario.n)).tolist())
     d = scenario.swarm.comm_range
     eps, window_sq = _resolve(d, eps, window_sq, paper_replication)
     members = set(ids)
@@ -192,65 +203,65 @@ def assemble(
     )
 
 
+def verdict(upper: float, lower: float, opts: OracleOptions) -> str:
+    """The status certified slack bounds prove: feasible iff ``upper`` is
+    within ``tol_feas``, infeasible iff ``lower`` reaches ``tol_infeas``,
+    else unknown."""
+    if upper <= opts.tol_feas:
+        return FEASIBLE
+    if lower >= opts.tol_infeas:
+        return INFEASIBLE
+    return UNKNOWN
+
+
 def check_feasibility(problem: FeasibilityProblem, opts: OracleOptions | None = None) -> OracleResult:
     """Decide feasibility of the lifted relaxation with certified slack bounds.
 
-    The verdict compares two-sided bounds on the optimal phase-I slack (the
-    minimal uniform relaxation of all inequality constraints) against the
-    tolerances: a witness below ``tol_feas`` proves feasibility, a dual
-    certificate above ``tol_infeas`` proves infeasibility, and a slack
-    bracketed strictly between them is unknown.  A node solve that loses
-    precision, or whose optimum sits within its final duality gap of a
-    tolerance, keeps the bounds it has: the verdict is then an unbracketed
-    unknown with its own reason, never an exception.
+    Runs the oracle's decision core (see ``conic``): the pairwise bound
+    (``conic.pairwise_slack_bound``), then, unless it already proves
+    infeasibility, the node loop (``conic.refine_witness``) from the
+    reports, and ``verdict`` on the two bounds.  Only this path returns
+    positions, so only it pulls each solved node's point back toward the
+    node's report as far as it stays within min(tol_feas, 0)
+    (``conic.retract``).  A node solve that loses precision, or whose
+    optimum sits within its final duality gap of a tolerance, keeps the
+    bounds it has: the verdict is then an unbracketed unknown with its own
+    reason, never an exception.
 
     ``diagnostics["slack_lower"]`` starts from the pairwise bound, which is
     floored at zero, so it lower-bounds max(t*, 0) rather than the optimal
     slack t* itself; on a feasible call with t* < 0 it is not a bound on t*.
-
-    The detectors do not come through here: they ask a ``ScenarioOracle``,
-    built once per ``detectors.DetectionContext`` (one per trial, or per
-    standalone detector call), which gives the same status for the same
-    sub-network without building this result (no witness, no lift, no
-    residuals).
     """
     opts = opts or OracleOptions()
-    witness, lower = conic.solve_phase1(problem.compiled(), opts.tol_feas, opts.tol_infeas)
+    cons = problem.compiled()
+    lower = conic.pairwise_slack_bound(cons)
+    witness = conic.evaluate_witness(cons, cons.positions.copy())
+    if lower < opts.tol_infeas:
+        solved = conic.refine_witness(cons, witness, opts.tol_feas, opts.tol_infeas)
+        lower = max([lower, *solved.values()])
+        for i in solved:
+            witness.put(i, conic.retract(cons.node(i), witness.entry(i), min(opts.tol_feas, 0.0)))
     upper = witness.slack
+    status = verdict(upper, lower, opts)
     max_residual, rank_gap = _residuals(conic.complete_lift(witness.X, witness.s))
     diagnostics: dict[str, float | str] = {
         "slack_upper": upper,
         "slack_lower": float(lower),
     }
-
-    if upper <= opts.tol_feas:
-        recovered = {
-            uid: witness.X[k].copy() for k, uid in enumerate(problem.node_order)
-        }
-        return OracleResult(
-            status=FEASIBLE,
-            phase1_slack=upper,
-            max_residual=max_residual,
-            recovered_positions=recovered,
-            rank_gap=rank_gap,
-            diagnostics=diagnostics,
+    if status == UNKNOWN:
+        diagnostics["reason"] = (
+            "slack bracketed inside tolerance gap"
+            if lower > opts.tol_feas and upper < opts.tol_infeas
+            else "node solve stalled before its bounds settled the verdict"
         )
-    if lower >= opts.tol_infeas:
-        return OracleResult(
-            status=INFEASIBLE,
-            phase1_slack=float(lower),
-            max_residual=max_residual,
-            rank_gap=rank_gap,
-            diagnostics=diagnostics,
-        )
-    if lower > opts.tol_feas and upper < opts.tol_infeas:
-        diagnostics["reason"] = "slack bracketed inside tolerance gap"
-    else:
-        diagnostics["reason"] = "node solve stalled before its bounds settled the verdict"
+    recovered = None
+    if status == FEASIBLE:
+        recovered = {uid: witness.X[k].copy() for k, uid in enumerate(problem.node_order)}
     return OracleResult(
-        status=UNKNOWN,
-        phase1_slack=upper,
+        status=status,
+        phase1_slack=float(lower) if status == INFEASIBLE else upper,
         max_residual=max_residual,
+        recovered_positions=recovered,
         rank_gap=rank_gap,
         diagnostics=diagnostics,
     )
@@ -275,27 +286,23 @@ class ScenarioOracle:
     ``check(sub_ids)`` gives the status ``check_feasibility(assemble(sub_ids,
     ...))`` gives, with the sub-network settings of a
     ``detectors.DetectorOptions`` (``eps``, ``delta``, ``window_sq``,
-    ``paper_replication`` and the ``oracle`` tolerances), but builds no
-    problem, witness or lift.  The relaxation is separable per UAV, so:
+    ``paper_replication`` and the ``oracle`` tolerances), through the same
+    decision core (see ``conic``), but builds no problem, witness or lift.
+    The whole scenario is compiled once, and since the relaxation is
+    separable per UAV:
 
-    * the pairwise bound of a sub-network is the certified threshold of its
-      first pair (in ``assemble``'s order) with the largest closed-form
-      threshold, or zero when every pair in it admits no relaxation; the
-      thresholds are computed once for every directed pair of the scenario,
-      and certified when first needed;
+    * the pairwise bound is ``conic.PairThresholds.bound`` over the pairs in
+      the sub-network, from thresholds computed once for every directed pair
+      of the scenario;
     * a node's verdict depends only on which of its measured counterparts are
       in the sub-network.  It is kept per (node, counterparts present): the
       slack of its own report when that is within ``tol_feas``, else the
-      (upper, lower) bounds of its ``conic.solve_node``, which stops at its
-      certificate (no retraction: no position is returned).  Between calls
-      only nodes whose counterparts changed are looked up again, whichever
-      run made the previous call.
+      bounds of its node solve.  Between calls only nodes whose counterparts
+      changed are looked up again, whichever run made the previous call, and
+      the uncached ones go through ``conic.refine_witness`` together.
 
-    The status is infeasible when the pairwise bound or some node's lower
-    bound reaches ``tol_infeas``, else feasible when every node's upper bound
-    is within ``tol_feas``, else unknown: the order in which nodes are
-    decided does not matter, as ``check_feasibility`` solves every node over
-    ``tol_feas`` until one proves infeasibility.
+    A node not yet decided counts as unbounded above; the order in which
+    nodes are decided does not change the status.
     """
 
     def __init__(self, scenario: AttackedScenario, options: DetectorOptions):
@@ -315,9 +322,6 @@ class ScenarioOracle:
         # Node i's pair rows are first_row[i] up to first_row[i + 1].
         self.first_row = np.searchsorted(self.src, np.arange(self.n + 1))
         self.pairs = conic.PairThresholds.of(self.cons)
-        self.tau = self.pairs.thresholds()
-        self.unmet = ~self.pairs.satisfied(0.0)
-        self.certified: dict[int, float] = {}
         self.verdicts: dict[tuple[int, bytes], tuple[float, float]] = {}
         # Per-node verdicts for the pair rows marked in ``active``; a node
         # is ``current`` while its rows there have not changed.
@@ -328,40 +332,30 @@ class ScenarioOracle:
 
     def check(self, sub_ids) -> str:
         """Status of the sub-network ``sub_ids`` (an iterable of UAV ids)."""
-        member = self._member(sub_ids)
-        active = member[self.src] & member[self.dst]
-        if self._pairwise_bound(active) >= self.opts.tol_infeas:
-            return INFEASIBLE
-        self.current[self.src[active != self.active]] = False
-        self.active = active
-        return self._node_status(np.flatnonzero(member))
+        member, active = self._select(sub_ids)
+        upper, lower = np.inf, self.pairs.bound(active)
+        if lower < self.opts.tol_infeas:
+            self.current[self.src[active != self.active]] = False
+            self.active = active
+            upper, node_lower = self._node_bounds(np.flatnonzero(member))
+            lower = max(lower, node_lower)
+        return verdict(upper, lower, self.opts)
 
     def pairwise_bound(self, sub_ids) -> float:
         """The sub-network's pairwise bound: bit for bit what
         ``conic.pairwise_slack_bound`` gives its assembled problem."""
-        member = self._member(sub_ids)
-        return self._pairwise_bound(member[self.src] & member[self.dst])
+        return self.pairs.bound(self._select(sub_ids)[1])
 
-    def _member(self, sub_ids) -> np.ndarray:
-        ids = np.fromiter(sub_ids, dtype=int)
-        if ids.size == 0:
-            raise InvalidParameterError("sub-network must be nonempty")
-        if ids.min() < 0 or ids.max() >= self.n:
-            raise InvalidParameterError("sub-network ids must be UAV ids of the scenario")
+    def _select(self, sub_ids) -> tuple[np.ndarray, np.ndarray]:
+        """Member mask of the sub-network's UAVs, and of its pair rows."""
         member = np.zeros(self.n, dtype=bool)
-        member[ids] = True
-        return member
+        member[_uav_ids(sub_ids, self.n)] = True
+        return member, member[self.src] & member[self.dst]
 
-    def _pairwise_bound(self, active: np.ndarray) -> float:
-        if not np.any(active & self.unmet):
-            return 0.0
-        worst = int(np.argmax(np.where(active, self.tau, -np.inf)))
-        bound = self.certified.get(worst)
-        if bound is None:
-            bound = self.certified[worst] = self.pairs.certified(worst, self.tau[worst])
-        return bound
-
-    def _node_status(self, members: np.ndarray) -> str:
+    def _node_bounds(self, members: np.ndarray) -> tuple[float, float]:
+        """Largest upper and lower node bounds over ``members``.  Cached
+        verdicts come first; uncached nodes are decided only when none of
+        those proves infeasibility."""
         misses = []
         for i in members[~self.current[members]]:
             first = self.first_row[i]
@@ -374,31 +368,22 @@ class ScenarioOracle:
                 self.upper[i], self.lower[i] = hit
                 self.current[i] = True
         decided = members[self.current[members]]
-        if np.any(self.lower[decided] >= self.opts.tol_infeas) or self._decide(misses):
-            return INFEASIBLE
-        return FEASIBLE if bool(np.all(self.upper[members] <= self.opts.tol_feas)) else UNKNOWN
+        if misses and not np.any(self.lower[decided] >= self.opts.tol_infeas):
+            self._decide(misses)
+            decided = members[self.current[members]]
+        upper = np.max(self.upper[members]) if len(decided) == len(members) else np.inf
+        return upper, np.max(self.lower[decided])
 
-    def _decide(self, misses: list) -> bool:
-        """Decide uncached nodes, worst report first.  Returns True as soon
-        as one is proven infeasible, leaving the rest undecided."""
-        if not misses:
-            return False
-        tol_feas, tol_infeas = self.opts.tol_feas, self.opts.tol_infeas
+    def _decide(self, misses: list) -> None:
+        """Run the node loop on the family of uncached nodes, and keep the
+        verdict of each node it settles."""
         ids = [i for i, _rows, _key in misses]
         rows = np.concatenate([r for _i, r, _key in misses] + [self.cons.n_pairs + np.array(ids)])
-        reports = self.cons.family(ids, rows)
-        report_slack = conic.evaluate_witness(reports, reports.positions.copy()).node_slack
-        for k in np.argsort(-report_slack, kind="stable"):
-            i, rows, key = misses[k]
-            if report_slack[k] <= tol_feas:
-                verdict = (float(report_slack[k]), -np.inf)
-            else:
-                family = self.cons.family([i], np.append(rows, self.cons.n_pairs + i))
-                found, lower = conic.solve_node(family, tol_feas, tol_infeas)
-                verdict = (found.slack, float(lower))
-            self.verdicts[key] = verdict
-            self.upper[i], self.lower[i] = verdict
-            self.current[i] = True
-            if verdict[1] >= tol_infeas:
-                return True
-        return False
+        family = self.cons.family(ids, rows)
+        witness = conic.evaluate_witness(family, family.positions.copy())
+        solved = conic.refine_witness(family, witness, self.opts.tol_feas, self.opts.tol_infeas)
+        for k, (i, _rows, key) in enumerate(misses):
+            if k in solved or witness.node_slack[k] <= self.opts.tol_feas:
+                self.verdicts[key] = (float(witness.node_slack[k]), solved.get(k, -np.inf))
+                self.upper[i], self.lower[i] = self.verdicts[key]
+                self.current[i] = True

@@ -165,8 +165,8 @@ def generate_swarm(n: int, cube_half_width: float, comm_range: float, seed: int)
     """
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")
-    if cube_half_width <= 0 or comm_range <= 0:
-        raise InvalidParameterError("cube_half_width and comm_range must be positive")
+    if not (0 < cube_half_width < math.inf and 0 < comm_range < math.inf):
+        raise InvalidParameterError("cube_half_width and comm_range must be positive and finite")
     rng = seeds.stream(seed, seeds.SWARM)
     pts = rng.uniform(-cube_half_width, cube_half_width, size=(n, 3))
     uavs = tuple(Uav(i, pts[i], pts[i]) for i in range(n))

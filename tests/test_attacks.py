@@ -192,6 +192,14 @@ class TestBuildAttack:
         best = max(degree(u.id) for u in swarm.uavs if u.id not in malicious)
         assert degree(target) == best
 
+    @pytest.mark.parametrize("bad", [dict(dist_var=float("nan")), dict(dist_var=-1e-6),
+                                     dict(dist_var=float("inf")), dict(fake_offset_min=float("nan")),
+                                     dict(fake_offset_min=-0.1)])
+    def test_rejects_bad_scalars(self, bad):
+        swarm = ss.generate_swarm(10, 0.5, 0.3, seed=0)
+        with pytest.raises(InvalidParameterError):
+            build_attack(swarm, measured(swarm), "distributed", 2, seed=0, **bad)
+
     def test_zero_attackers(self):
         scen = make_scenario("distributed", 0, seed=1, n=10)
         assert scen.truth() == frozenset()

@@ -50,6 +50,14 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(**{field: bad})
 
+    @pytest.mark.parametrize("bad", [dict(n_uavs=2.5), dict(malicious_count=2.5), dict(trials_per_point=2.5),
+                                     dict(base_seed=-1), dict(base_seed=1.0), dict(n_uavs="30"),
+                                     dict(sweep_param="malicious_count", sweep_values=(2, 2.5)),
+                                     dict(sweep_param="n_uavs", sweep_values=(20, -25))])
+    def test_rejects_non_integer_counts(self, bad):
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(**bad)
+
     def test_rejects_bad_sweep_values_of_a_scalar(self):
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(sweep_param="dist_var", sweep_values=(1e-6, float("nan")))

@@ -9,6 +9,7 @@ the detectors ask (trusted set plus one suspect, with or without its
 neighborhood).
 """
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -50,15 +51,33 @@ def sub_network(data, scen) -> frozenset[int]:
     return frozenset(i for i, keep in enumerate(mask) if keep) or frozenset({0})
 
 
+@contextlib.contextmanager
+def counted_node_solves():
+    """Patch ``conic.solve_node`` to append to the yielded list per call."""
+    solves, solve_node = [], conic.solve_node
+    conic.solve_node = lambda *a: solves.append(1) or solve_node(*a)
+    try:
+        yield solves
+    finally:
+        conic.solve_node = solve_node
+
+
 class TestScenarioOracle:
     @SETTINGS
     @given(scen=scenarios(), data=st.data())
     def test_matches_assembled_problem(self, scen, data):
+        # Both paths run one decision core: on a fresh oracle, the first
+        # check solves exactly the nodes check_feasibility solves.
         oracle = sdp.ScenarioOracle(scen, DetectorOptions())
-        for _ in range(8):
+        for k in range(8):
             sub = sub_network(data, scen)
             problem = sdp.assemble(sub, scen)
-            assert oracle.check(sub) == sdp.check_feasibility(problem).status
+            with counted_node_solves() as direct:
+                status = sdp.check_feasibility(problem).status
+            with counted_node_solves() as scenario:
+                assert oracle.check(sub) == status
+            if k == 0:
+                assert len(scenario) == len(direct)
             assert oracle.pairwise_bound(sub) == conic.pairwise_slack_bound(problem.compiled())
 
     @SETTINGS
@@ -134,6 +153,6 @@ class TestScenarioOracle:
     def test_rejects_ids_outside_the_scenario(self):
         scen = make_scenario("distributed", 2, seed=1, n=12)
         oracle = sdp.ScenarioOracle(scen, DetectorOptions())
-        for bad in (set(), {0, 12}, {-1}):
+        for bad in (set(), {0, 12}, {-1}, [0.5, 1.7], {0, 1.0}, ["1"]):
             with pytest.raises(ss.InvalidParameterError):
                 oracle.check(bad)

@@ -122,6 +122,12 @@ class TestAssemble:
         with pytest.raises(InvalidParameterError):
             assemble([], scen)
 
+    @pytest.mark.parametrize("bad", [[0.5, 1.7], [0, 1.0], ["1"], [0, 5], [-1]])
+    def test_non_integral_or_foreign_ids_rejected(self, bad):
+        # Ids are never truncated: [0.5, 1.7] is not the sub-network {0, 1}.
+        with pytest.raises(InvalidParameterError):
+            assemble(bad, honest_scenario(seed=2, n=5))
+
 
 class TestCheckFeasibility:
     def test_honest_zero_noise_recovers_positions(self):

@@ -146,6 +146,10 @@ class TestCli:
         {"pos_var": -1e-6},
         {"dist_var": float("nan")},
         {"fake_offset_min": -0.1},
+        {"n_uavs": 2.5},
+        {"trials_per_point": 2.5},
+        {"sweep_values": [2.5]},
+        {"base_seed": -1},
     ])
     def test_sweep_rejects_bad_config_scalars(self, tmp_path, spoil):
         config = {"sweep_param": "malicious_count", "sweep_values": [1], "n_uavs": 12,
@@ -153,6 +157,21 @@ class TestCli:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))  # writes NaN / Infinity literals
         assert run_cli("sweep", "--config", str(config_path)) == 2
+
+    @pytest.mark.parametrize("command", [
+        ("generate", "--cube-half-width", "nan"),
+        ("generate", "--cube-half-width", "inf"),
+        ("attack", "{swarm}", "--dist-var", "nan"),
+        ("attack", "{swarm}", "--dist-var=-1e-6"),
+        ("attack", "{swarm}", "--fake-offset-min", "nan"),
+        ("sweep", "--preset", "attacker_count", "--trials", "1", "--seed", "-1"),
+    ])
+    def test_rejects_bad_scalar_flags(self, tmp_path, command):
+        swarm_path = tmp_path / "swarm.json"
+        assert run_cli("generate", "--n", "8", "--seed", "1", "--out", str(swarm_path)) == 0
+        args = [a.format(swarm=swarm_path) for a in command]
+        assert run_cli(*args, "--out", str(tmp_path / "out")) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_with_config(self, tmp_path):
         config = {

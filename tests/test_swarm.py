@@ -36,7 +36,8 @@ class TestGenerateSwarm:
         assert not np.array_equal(a.true_positions(), b.true_positions())
 
     @pytest.mark.parametrize("bad", [dict(n=1), dict(cube_half_width=0.0), dict(comm_range=-1.0),
-                                     dict(comm_range=float("nan"))])
+                                     dict(comm_range=float("nan")), dict(cube_half_width=float("nan")),
+                                     dict(cube_half_width=float("inf"))])
     def test_invalid_parameters(self, bad):
         kwargs = dict(n=5, cube_half_width=0.5, comm_range=0.3, seed=0)
         kwargs.update(bad)
