@@ -9,6 +9,9 @@ Three attack flavors are supported:
 * mixed — a distributed phase followed by a collusion phase on disjoint
   attacker subsets.
 
+Each attack phase is one spoof step (``_spoof``): every attacker's report
+moves to its fake, and the phase builds one new measurement set in which each
+attacker's outgoing claims are replaced by the distances its fake would see.
 Attackers rewrite only their own outgoing claims.  Honest measurements taken
 *of* an attacker still reflect true geometry, so directed entries can
 disagree; that asymmetry is evidence for the detectors, not a bug.
@@ -17,6 +20,7 @@ disagree; that asymmetry is evidence for the detectors, not a bug.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,8 +96,8 @@ class AttackedScenario:
 
 def select_malicious(swarm: Swarm, m: int, seed: int) -> frozenset[int]:
     """Uniformly choose m distinct UAV ids to be attackers."""
-    if not 0 <= m < swarm.n:
-        raise InvalidParameterError(f"need 0 <= m < N, got m={m}, N={swarm.n}")
+    if not (isinstance(m, numbers.Integral) and 0 <= m < swarm.n):
+        raise InvalidParameterError(f"need an integer 0 <= m < N, got m={m!r}, N={swarm.n}")
     if m == 0:
         return frozenset()
     rng = seeds.stream(seed, seeds.SELECT_MALICIOUS)
@@ -114,46 +118,38 @@ def default_collusion_target(swarm: Swarm, measurements: MeasurementSet, malicio
     return best_id
 
 
-def _mark_malicious(swarm: Swarm, malicious_ids: frozenset[int]) -> Swarm:
-    uavs = tuple(
-        replace(u, ground_truth_malicious=(u.id in malicious_ids or u.ground_truth_malicious))
-        for u in swarm.uavs
-    )
-    return replace(swarm, uavs=uavs)
-
-
-def _fabricate_claims(
+def _spoof(
     swarm: Swarm,
     measurements: MeasurementSet,
-    attacker_ids: list[int],
+    fakes: dict[int, np.ndarray],
     dist_var: float,
     rng: np.random.Generator,
-    forced_targets: dict[int, int] | None = None,
-) -> MeasurementSet:
-    """Rewrite each attacker's outgoing claims to match its fake position.
+    target: int | None = None,
+) -> tuple[Swarm, MeasurementSet]:
+    """Move each attacker's report to its fake, mark it malicious, and
+    rewrite its outgoing claims to match.
 
-    Claims go to every UAV whose *reported* position lies within range of the
-    fake (a rational attacker fabricates exactly what its fake location would
-    see).  ``forced_targets`` adds one always-claimed counterpart per attacker
-    regardless of range (the collusion target, which is in range by
-    construction anyway).
+    Claims go to every UAV whose *reported* position, after the spoof, lies
+    within range of the fake (a rational attacker fabricates exactly what its
+    fake location would see), and always to ``target`` (the collusion target,
+    in range by construction anyway).  Non-attacker entries keep their order;
+    each attacker's claims follow, in id order.
     """
-    d = swarm.comm_range
-    reported = swarm.reported_positions()
-    ms = measurements
-    for m_id in attacker_ids:
-        fake = reported[m_id]
-        claims: dict[int, float] = {}
+    uavs = list(swarm.uavs)
+    for m_id, fake in fakes.items():
+        uavs[m_id] = replace(uavs[m_id], reported_pos=fake, ground_truth_malicious=True)
+    attacked = replace(swarm, uavs=tuple(uavs))
+    reported = attacked.reported_positions()
+    entries = {k: r for k, r in measurements.entries.items() if k[0] not in fakes}
+    for m_id in sorted(fakes):
         for j in range(swarm.n):
             if j == m_id:
                 continue
-            dist = float(np.linalg.norm(fake - reported[j]))
-            must = forced_targets is not None and forced_targets.get(m_id) == j
-            if dist <= d or must:
+            dist = float(np.linalg.norm(reported[m_id] - reported[j]))
+            if dist <= swarm.comm_range or j == target:
                 noise = rng.normal(0.0, np.sqrt(dist_var)) if dist_var > 0 else 0.0
-                claims[j] = max(dist + noise, DISTANCE_FLOOR)
-        ms = ms.replace_outgoing(m_id, claims)
-    return ms
+                entries[(m_id, j)] = max(dist + noise, DISTANCE_FLOOR)
+    return attacked, MeasurementSet(swarm.n, entries)
 
 
 def _sample_distributed_fake(
@@ -181,19 +177,14 @@ def apply_distributed(
 ) -> AttackedScenario:
     """Each attacker reports an independent fake position and claims to match."""
     malicious_ids = frozenset(malicious_ids)
-    _check_ids(swarm, malicious_ids)
+    _check_inputs(swarm, measurements, malicious_ids)
     if not malicious_ids:
         return AttackedScenario(swarm, measurements, plan)
     offset = swarm.comm_range if fake_offset_min is None else fake_offset_min
     place_rng = seeds.stream(seed, seeds.PLACE_DISTRIBUTED)
-    fab_rng = seeds.stream(seed, seeds.FABRICATE)
-
-    uavs = list(swarm.uavs)
-    for m_id in sorted(malicious_ids):
-        fake = _sample_distributed_fake(uavs[m_id].true_pos, swarm.cube_half_width, offset, place_rng)
-        uavs[m_id] = replace(uavs[m_id], reported_pos=fake, ground_truth_malicious=True)
-    attacked = replace(swarm, uavs=tuple(uavs))
-    ms = _fabricate_claims(attacked, measurements, sorted(malicious_ids), dist_var, fab_rng)
+    fakes = {m: _sample_distributed_fake(swarm.uavs[m].true_pos, swarm.cube_half_width, offset, place_rng)
+             for m in sorted(malicious_ids)}
+    attacked, ms = _spoof(swarm, measurements, fakes, dist_var, seeds.stream(seed, seeds.FABRICATE))
     if plan is None:
         plan = AttackPlan(DISTRIBUTED, malicious_ids, seed, fake_offset_min=offset)
     return AttackedScenario(attacked, ms, plan)
@@ -244,28 +235,19 @@ def apply_collusion(
 ) -> AttackedScenario:
     """Attackers fake positions inside the target's range to frame it."""
     malicious_ids = frozenset(malicious_ids)
-    _check_ids(swarm, malicious_ids)
+    _check_inputs(swarm, measurements, malicious_ids)
     if not malicious_ids:
         raise InvalidParameterError("collusion attack needs at least one attacker")
-    if target in malicious_ids or not 0 <= target < swarm.n:
+    if not isinstance(target, numbers.Integral) or target in malicious_ids or not 0 <= target < swarm.n:
         raise InvalidParameterError("collusion target must be a benign UAV id")
     offset = swarm.comm_range if fake_offset_min is None else fake_offset_min
     radius = swarm.comm_range * (1.0 - COLLUSION_MARGIN)
     place_rng = seeds.stream(seed, seeds.PLACE_COLLUSION)
-    fab_rng = seeds.stream(seed, seeds.FABRICATE, 1)
-
     center = swarm.uavs[target].reported_pos
-    uavs = list(swarm.uavs)
-    for m_id in sorted(malicious_ids):
-        fake = _sample_collusion_fake(
-            uavs[m_id].true_pos, center, radius, swarm.cube_half_width, offset, place_rng
-        )
-        uavs[m_id] = replace(uavs[m_id], reported_pos=fake, ground_truth_malicious=True)
-    attacked = replace(swarm, uavs=tuple(uavs))
-    ms = _fabricate_claims(
-        attacked, measurements, sorted(malicious_ids), dist_var, fab_rng,
-        forced_targets={m: target for m in malicious_ids},
-    )
+    fakes = {m: _sample_collusion_fake(swarm.uavs[m].true_pos, center, radius, swarm.cube_half_width,
+                                       offset, place_rng)
+             for m in sorted(malicious_ids)}
+    attacked, ms = _spoof(swarm, measurements, fakes, dist_var, seeds.stream(seed, seeds.FABRICATE, 1), target)
     if plan is None:
         plan = AttackPlan(COLLUSION, malicious_ids, seed, fake_offset_min=offset, target=target)
     return AttackedScenario(attacked, ms, plan)
@@ -284,13 +266,12 @@ def apply_mixed(
     """Distributed attack on one subset, collusion on the other."""
     distributed_ids = frozenset(distributed_ids)
     collusion_ids = frozenset(collusion_ids)
-    if distributed_ids & collusion_ids:
-        raise InvalidParameterError("distributed and collusion sets overlap")
     plan = AttackPlan(
         MIXED, distributed_ids | collusion_ids, seed,
         fake_offset_min=swarm.comm_range if fake_offset_min is None else fake_offset_min,
         target=target, distributed_ids=distributed_ids, collusion_ids=collusion_ids,
     )
+    _check_inputs(swarm, measurements, plan.malicious_ids)
     scen = AttackedScenario(swarm, measurements, plan)
     if distributed_ids:
         scen = apply_distributed(
@@ -321,12 +302,14 @@ def build_attack(
     """
     if kind not in ATTACK_KINDS:
         raise InvalidParameterError(f"unknown attack kind {kind!r}")
+    if not (target is None or isinstance(target, numbers.Integral)):
+        raise InvalidParameterError(f"collusion target must be an integer id, got {target!r}")
     if not (0 <= dist_var < math.inf and (fake_offset_min is None or 0 <= fake_offset_min < math.inf)):
         raise InvalidParameterError("dist_var and fake_offset_min must be nonnegative and finite")
+    _check_inputs(swarm, measurements)
     malicious = select_malicious(swarm, m, seed)
     if not malicious:
-        return AttackedScenario(_mark_malicious(swarm, malicious), measurements,
-                                AttackPlan(DISTRIBUTED, malicious, seed, fake_offset_min))
+        return AttackedScenario(swarm, measurements, AttackPlan(DISTRIBUTED, malicious, seed, fake_offset_min))
     if kind == DISTRIBUTED:
         return apply_distributed(swarm, measurements, malicious, fake_offset_min, seed, dist_var)
     if target is None:
@@ -339,7 +322,9 @@ def build_attack(
                        target, seed, dist_var, fake_offset_min)
 
 
-def _check_ids(swarm: Swarm, ids: frozenset[int]) -> None:
+def _check_inputs(swarm: Swarm, measurements: MeasurementSet, ids: frozenset[int] = frozenset()) -> None:
+    if measurements.n != swarm.n:
+        raise InvalidParameterError(f"measurement set has N={measurements.n}, swarm has N={swarm.n}")
     if any(not 0 <= i < swarm.n for i in ids):
         raise InvalidParameterError("malicious id out of range")
     if len(ids) >= swarm.n:

@@ -94,11 +94,10 @@ class DetectionContext:
         self.evidence = violation_counts(self.reported, scenario.measurements, scenario.swarm.comm_range)
         # Who claims a measurement about each id: a singleton check of id is
         # conclusive only once these counterparties have been assessed.
-        self.accusers: dict[int, set[int]] = {u.id: set() for u in scenario.swarm.uavs}
-        claimants: set[int] = set()
-        for (i, j) in scenario.measurements.entries:
-            self.accusers[j].add(i)
-            claimants.add(i)
+        entries = scenario.measurements.entries
+        pairs = np.array(list(entries), dtype=np.intp).reshape(-1, 2)
+        claimant, subject = pairs[:, 0], pairs[:, 1]
+        self.accusers = _by_subject(claimant, subject, scenario.n)
         # Value-conflicting testimony: claims whose distance disagrees with
         # the reported geometry of the pair beyond the acceptance window.
         # Fabricated claims are value-consistent with their subject's report
@@ -109,15 +108,14 @@ class DetectionContext:
         d = scenario.swarm.comm_range
         window = (d / 2.0) ** 2
         pos = scenario.swarm.reported_positions()
-        self.conflicting_accusers: dict[int, set[int]] = {u.id: set() for u in scenario.swarm.uavs}
-        for (i, j), r in scenario.measurements.entries.items():
-            gap_sq = float(((pos[i] - pos[j]) ** 2).sum())
-            if gap_sq >= d * d + window or abs(r * r - gap_sq) >= window:
-                self.conflicting_accusers[j].add(i)
+        r = np.fromiter(entries.values(), dtype=float, count=len(entries))
+        gap_sq = ((pos[claimant] - pos[subject]) ** 2).sum(axis=1)
+        conflict = (gap_sq >= d * d + window) | (np.abs(r * r - gap_sq) >= window)
+        self.conflicting_accusers = _by_subject(claimant[conflict], subject[conflict], scenario.n)
         # Ids whose reported position some claim contradicts: their own
         # testimony about others carries no exonerating weight.
-        self.discredited = {k for k, who in self.conflicting_accusers.items() if who}
-        accusing_anyone = set().union(*self.conflicting_accusers.values()) if self.conflicting_accusers else set()
+        self.discredited = set(subject[conflict].tolist())
+        accusing_anyone = set(claimant[conflict].tolist())
         # A self-consistent claimant that no credible witness reciprocates
         # can never be exonerated: honest measurement presence is symmetric
         # (both directions gate on true distance), so such a node is either
@@ -126,7 +124,7 @@ class DetectionContext:
         # (once they reconcile with the trusted set) puts their testimony to
         # work against the accused.
         self.unvouched = {
-            k for k in claimants
+            k for k in set(claimant.tolist())
             if not (self.accusers[k] - self.discredited - {k}) and k not in accusing_anyone
         }
 
@@ -143,6 +141,13 @@ class DetectionContext:
         if scenario is not self.scenario or (options is not None and options != self.options):
             raise InvalidParameterError("a detection context serves only the scenario and options it was built for")
         return self
+
+
+def _by_subject(claimant: np.ndarray, subject: np.ndarray, n: int) -> dict[int, set[int]]:
+    """Id -> the claimants of the given (claimant, subject) pairs about it."""
+    grouped = claimant[np.argsort(subject, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(subject, minlength=n)).tolist()
+    return {k: set(grouped[lo:hi]) for k, (lo, hi) in enumerate(zip([0] + ends[:-1], ends))}
 
 
 class _Run:

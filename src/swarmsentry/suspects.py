@@ -69,25 +69,22 @@ def violating_pairs(
     if e_r.n != e_n.n:
         raise InvalidParameterError("matrix dimensions disagree")
     threshold = (d / 2.0) ** 2
-    out = []
-    for (i, j) in sorted(set(e_r.entries) | set(e_n.entries)):
-        in_r, in_n = (i, j) in e_r.entries, (i, j) in e_n.entries
-        if in_r != in_n or (j, i) not in e_n.entries:
-            out.append((i, j))
-        elif abs(e_n.get(i, j) ** 2 - e_r.get(i, j) ** 2) >= threshold:
-            out.append((i, j))
-    return out
+    keys = sorted(e_r.entries.keys() | e_n.entries.keys())
+    # A pair missing from one structure gets an infinite distance there, so
+    # its gap is infinite and it violates like a one-directional claim.
+    claimed = np.array([e_n.entries.get(k, np.inf) for k in keys])
+    implied = np.array([e_r.entries.get(k, np.inf) for k in keys])
+    mutual = np.array([(j, i) in e_n.entries for (i, j) in keys], dtype=bool)
+    bad = ~mutual | (np.abs(claimed**2 - implied**2) >= threshold)
+    return [keys[t] for t in np.flatnonzero(bad)]
 
 
 def violation_counts(
     e_r: ReportedDistanceMatrix, e_n: MeasurementSet, d: float
 ) -> dict[int, int]:
     """Per-UAV count of incident violating pairs (0 for clean ids)."""
-    counts = {k: 0 for k in range(e_n.n)}
-    for (i, j) in violating_pairs(e_r, e_n, d):
-        counts[i] += 1
-        counts[j] += 1
-    return counts
+    ends = np.array(violating_pairs(e_r, e_n, d), dtype=np.intp).ravel()
+    return dict(enumerate(np.bincount(ends, minlength=e_n.n).tolist()))
 
 
 def initial_suspects(

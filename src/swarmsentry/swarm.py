@@ -9,6 +9,7 @@ sparse directed measurement map that doubles as the neighbor graph.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -107,7 +108,9 @@ class MeasurementSet:
     An entry (i, j) means UAV i reports a ranging measurement to UAV j.  The
     adjacency indicator is entry presence; ``neighbor_set`` symmetrizes it.
     A set is immutable once built (``entries`` must not change afterwards):
-    its pair index is built from the entries on first use and kept.
+    its pair index is built from the entries on first use and kept.  Stages
+    that change claims build a new entries dict and one new set from it
+    (``measure_distances`` once, each attack phase once).
     """
 
     n: int
@@ -119,9 +122,6 @@ class MeasurementSet:
                 raise InvalidParameterError(f"bad measurement pair ({i}, {j})")
             if not 0 < r < math.inf:
                 raise InvalidParameterError(f"measurement ({i}, {j}) must be positive and finite, got {r}")
-
-    def has(self, i: int, j: int) -> bool:
-        return (i, j) in self.entries
 
     def get(self, i: int, j: int) -> float:
         return self.entries[(i, j)]
@@ -149,13 +149,6 @@ class MeasurementSet:
             adj.setdefault(j, set()).add(i)
         return {k: frozenset(v) for k, v in adj.items()}
 
-    def replace_outgoing(self, source: int, new_claims: dict[int, float]) -> "MeasurementSet":
-        """Return a copy where all (source, *) entries are replaced by new_claims."""
-        entries = {k: v for k, v in self.entries.items() if k[0] != source}
-        for j, r in new_claims.items():
-            entries[(source, j)] = max(r, DISTANCE_FLOOR)
-        return MeasurementSet(self.n, entries)
-
 
 def generate_swarm(n: int, cube_half_width: float, comm_range: float, seed: int) -> Swarm:
     """Generate n UAVs uniformly in the cube [-w, +w]^3.
@@ -163,8 +156,8 @@ def generate_swarm(n: int, cube_half_width: float, comm_range: float, seed: int)
     Reported positions start equal to true positions and every UAV is benign;
     noise and attacks are applied by later pipeline stages.
     """
-    if n < 2:
-        raise InvalidParameterError(f"need n >= 2, got {n}")
+    if not (isinstance(n, numbers.Integral) and n >= 2):
+        raise InvalidParameterError(f"need an integer n >= 2, got {n!r}")
     if not (0 < cube_half_width < math.inf and 0 < comm_range < math.inf):
         raise InvalidParameterError("cube_half_width and comm_range must be positive and finite")
     rng = seeds.stream(seed, seeds.SWARM)
@@ -200,19 +193,18 @@ def measure_distances(swarm: Swarm, params: NoiseParams, seed: int) -> Measureme
     (i, j) and (j, i) noise draws are independent, so directed entries may
     disagree slightly.
     """
-    rng = seeds.stream(seed, seeds.DIST_NOISE)
     pos = swarm.true_positions()
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
-    noise = rng.normal(0.0, np.sqrt(params.dist_var), size=(swarm.n, swarm.n)) if params.dist_var > 0 else np.zeros((swarm.n, swarm.n))
-    entries: dict[tuple[int, int], float] = {}
-    for i in range(swarm.n):
-        for j in range(swarm.n):
-            if i == j:
-                continue
-            if dist[i, j] <= swarm.comm_range:
-                entries[(i, j)] = max(dist[i, j] + noise[i, j], DISTANCE_FLOOR)
-    return MeasurementSet(swarm.n, entries)
+    in_range = dist <= swarm.comm_range
+    np.fill_diagonal(in_range, False)
+    if params.dist_var > 0:
+        rng = seeds.stream(seed, seeds.DIST_NOISE)
+        dist = dist + rng.normal(0.0, np.sqrt(params.dist_var), size=(swarm.n, swarm.n))
+    # Row-major, so entries come in (i, j) order.
+    i, j = np.nonzero(in_range)
+    values = np.maximum(dist[i, j], DISTANCE_FLOOR)
+    return MeasurementSet(swarm.n, dict(zip(zip(i.tolist(), j.tolist()), values.tolist())))
 
 
 def neighbor_set(measurements: MeasurementSet, k: int) -> frozenset[int]:

@@ -194,11 +194,29 @@ class TestBuildAttack:
 
     @pytest.mark.parametrize("bad", [dict(dist_var=float("nan")), dict(dist_var=-1e-6),
                                      dict(dist_var=float("inf")), dict(fake_offset_min=float("nan")),
-                                     dict(fake_offset_min=-0.1)])
+                                     dict(fake_offset_min=-0.1), dict(m=2.5), dict(m=np.float64(2.0)),
+                                     dict(target=2.5), dict(kind="collusion", target=2.5)])
     def test_rejects_bad_scalars(self, bad):
         swarm = ss.generate_swarm(10, 0.5, 0.3, seed=0)
         with pytest.raises(InvalidParameterError):
-            build_attack(swarm, measured(swarm), "distributed", 2, seed=0, **bad)
+            build_attack(swarm, measured(swarm), **{"kind": "distributed", "m": 2, "seed": 0, **bad})
+
+    def test_rejects_measurements_of_another_swarm(self):
+        swarm = ss.generate_swarm(10, 0.5, 0.3, seed=0)
+        other = measured(ss.generate_swarm(12, 0.5, 0.3, seed=0))
+        for attack in (lambda: build_attack(swarm, other, "distributed", 0, seed=0),
+                       lambda: build_attack(swarm, other, "collusion", 2, seed=0),
+                       lambda: apply_distributed(swarm, other, frozenset({1}), seed=0),
+                       lambda: apply_collusion(swarm, other, frozenset({1}), target=0, seed=0),
+                       lambda: apply_mixed(swarm, other, frozenset(), frozenset(), target=0, seed=0)):
+            with pytest.raises(InvalidParameterError, match="N=12"):
+                attack()
+
+    def test_zero_attackers_keeps_inputs(self):
+        swarm = ss.generate_swarm(10, 0.5, 0.3, seed=0)
+        ms = measured(swarm)
+        scen = build_attack(swarm, ms, "collusion", 0, seed=0)
+        assert scen.swarm is swarm and scen.measurements is ms
 
     def test_zero_attackers(self):
         scen = make_scenario("distributed", 0, seed=1, n=10)

@@ -1,0 +1,217 @@
+"""The scenario layer's array passes against the per-pair loops they replaced.
+
+``reference_measure``, ``reference_attack`` and ``reference_evidence`` keep
+the loop-per-pair code that measured distances, rewrote attackers' claims
+(one attacker at a time, filtering and re-appending the whole entry map) and
+collected a detection context's evidence.  The library's results must equal
+them exactly: the same floats, the same entry insertion order, the same
+reports and flags.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import swarmsentry as ss
+from swarmsentry import attacks, seeds
+from swarmsentry.detectors import DetectionContext
+from swarmsentry.suspects import ReportedDistanceMatrix, violating_pairs
+from swarmsentry.swarm import DISTANCE_FLOOR
+
+KINDS = ("distributed", "collusion", "mixed")
+DIST_VARS = (0.0, 1e-6, 1e-3)
+SIZES = ((10, 3), (30, 6))   # (n, attacker count)
+
+
+def reference_measure(swarm, params, seed):
+    rng = seeds.stream(seed, seeds.DIST_NOISE)
+    pos = swarm.true_positions()
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    noise = (rng.normal(0.0, np.sqrt(params.dist_var), size=(swarm.n, swarm.n))
+             if params.dist_var > 0 else np.zeros((swarm.n, swarm.n)))
+    entries = {}
+    for i in range(swarm.n):
+        for j in range(swarm.n):
+            if i != j and dist[i, j] <= swarm.comm_range:
+                entries[(i, j)] = max(dist[i, j] + noise[i, j], DISTANCE_FLOOR)
+    return entries
+
+
+def reference_claims(uavs, entries, attacker_ids, d, dist_var, rng, target=None):
+    """Rewrite each attacker's outgoing claims, one attacker at a time."""
+    reported = np.array([u.reported_pos for u in uavs])
+    for m_id in attacker_ids:
+        claims = {}
+        for j in range(len(uavs)):
+            if j == m_id:
+                continue
+            dist = float(np.linalg.norm(reported[m_id] - reported[j]))
+            if dist <= d or j == target:
+                noise = rng.normal(0.0, np.sqrt(dist_var)) if dist_var > 0 else 0.0
+                claims[j] = max(dist + noise, DISTANCE_FLOOR)
+        entries = {k: v for k, v in entries.items() if k[0] != m_id}
+        for j, r in claims.items():
+            entries[(m_id, j)] = max(r, DISTANCE_FLOOR)
+    return entries
+
+
+def reference_attack(swarm, ms, kind, m, seed, dist_var):
+    """``build_attack`` with default offset and target, UAV by UAV."""
+    malicious = attacks.select_malicious(swarm, m, seed)
+    ordered = sorted(malicious)
+    uavs, entries = list(swarm.uavs), dict(ms.entries)
+    if not ordered:
+        return uavs, entries
+    d, w = swarm.comm_range, swarm.cube_half_width
+    target = None if kind == "distributed" else attacks.default_collusion_target(swarm, ms, malicious)
+    half = (len(ordered) + 1) // 2
+    phases = {"distributed": [("distributed", ordered)], "collusion": [("collusion", ordered)],
+              "mixed": [("distributed", ordered[:half]), ("collusion", ordered[half:])]}[kind]
+    for phase, ids in phases:
+        if not ids:
+            continue
+        if phase == "distributed":
+            place = seeds.stream(seed, seeds.PLACE_DISTRIBUTED)
+            fab = seeds.stream(seed, seeds.FABRICATE)
+            for m_id in ids:
+                fake = attacks._sample_distributed_fake(uavs[m_id].true_pos, w, d, place)
+                uavs[m_id] = replace(uavs[m_id], reported_pos=fake, ground_truth_malicious=True)
+            entries = reference_claims(uavs, entries, ids, d, dist_var, fab)
+        else:
+            place = seeds.stream(seed, seeds.PLACE_COLLUSION)
+            fab = seeds.stream(seed, seeds.FABRICATE, 1)
+            center = uavs[target].reported_pos
+            radius = d * (1.0 - attacks.COLLUSION_MARGIN)
+            for m_id in ids:
+                fake = attacks._sample_collusion_fake(uavs[m_id].true_pos, center, radius, w, d, place)
+                uavs[m_id] = replace(uavs[m_id], reported_pos=fake, ground_truth_malicious=True)
+            entries = reference_claims(uavs, entries, ids, d, dist_var, fab, target)
+    return uavs, entries
+
+
+def reference_violating_pairs(e_r, e_n, d):
+    threshold = (d / 2.0) ** 2
+    out = []
+    for (i, j) in sorted(set(e_r.entries) | set(e_n.entries)):
+        in_r, in_n = (i, j) in e_r.entries, (i, j) in e_n.entries
+        if in_r != in_n or (j, i) not in e_n.entries:
+            out.append((i, j))
+        elif abs(e_n.get(i, j) ** 2 - e_r.get(i, j) ** 2) >= threshold:
+            out.append((i, j))
+    return out
+
+
+def reference_evidence(scenario):
+    ms, n, d = scenario.measurements, scenario.n, scenario.swarm.comm_range
+    pos = scenario.swarm.reported_positions()
+    e_r = ReportedDistanceMatrix(n, {(i, j): float(np.linalg.norm(pos[i] - pos[j])) for (i, j) in ms.entries})
+    evidence = {k: 0 for k in range(n)}
+    for (i, j) in reference_violating_pairs(e_r, ms, d):
+        evidence[i] += 1
+        evidence[j] += 1
+    accusers = {k: set() for k in range(n)}
+    claimants = set()
+    for (i, j) in ms.entries:
+        accusers[j].add(i)
+        claimants.add(i)
+    window = (d / 2.0) ** 2
+    conflicting = {k: set() for k in range(n)}
+    for (i, j), r in ms.entries.items():
+        gap_sq = float(((pos[i] - pos[j]) ** 2).sum())
+        if gap_sq >= d * d + window or abs(r * r - gap_sq) >= window:
+            conflicting[j].add(i)
+    discredited = {k for k, who in conflicting.items() if who}
+    accusing_anyone = set().union(*conflicting.values())
+    unvouched = {k for k in claimants
+                 if not (accusers[k] - discredited - {k}) and k not in accusing_anyone}
+    return dict(evidence=evidence, accusers=accusers, conflicting_accusers=conflicting,
+                discredited=discredited, unvouched=unvouched)
+
+
+def honest(n, seed, dist_var):
+    noise = ss.NoiseParams(1e-6, dist_var)
+    swarm = ss.apply_position_noise(ss.generate_swarm(n, 0.5, 0.3, seed=seed), noise, seed=seed)
+    return swarm, noise
+
+
+@pytest.mark.parametrize("dist_var", DIST_VARS)
+@pytest.mark.parametrize("n", (2, 10, 30, 60))
+def test_measure_matches_reference(n, dist_var):
+    swarm, noise = honest(n, 3, dist_var)
+    got = ss.measure_distances(swarm, noise, seed=3)
+    assert list(got.entries.items()) == list(reference_measure(swarm, noise, 3).items())
+
+
+@pytest.mark.parametrize("n, m", SIZES)
+@pytest.mark.parametrize("dist_var", DIST_VARS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_attack_matches_reference(kind, dist_var, n, m):
+    for seed in (1, 2):
+        swarm, noise = honest(n, seed, dist_var)
+        ms = ss.measure_distances(swarm, noise, seed=seed)
+        scen = ss.build_attack(swarm, ms, kind, m, seed=seed, dist_var=dist_var)
+        uavs, entries = reference_attack(swarm, ms, kind, m, seed, dist_var)
+        assert list(scen.measurements.entries.items()) == list(entries.items())
+        assert np.array_equal(scen.swarm.reported_positions(), np.array([u.reported_pos for u in uavs]))
+        assert [u.ground_truth_malicious for u in scen.swarm.uavs] == [u.ground_truth_malicious for u in uavs]
+        assert scen.truth() == attacks.select_malicious(swarm, m, seed)
+
+
+@pytest.mark.parametrize("dist_var", DIST_VARS)
+@pytest.mark.parametrize("n", (10, 30))
+def test_spoof_matches_reference(n, dist_var):
+    # Fakes anywhere in the cube: the forced target is often out of range of
+    # them, so its claim is made only because it is forced.
+    swarm, noise = honest(n, 5, dist_var)
+    ms = ss.measure_distances(swarm, noise, seed=5)
+    rng = np.random.default_rng(5)
+    ids = sorted(int(k) for k in rng.choice(range(1, n), size=4, replace=False))
+    fakes = {k: rng.uniform(-0.5, 0.5, size=3) for k in ids}
+    for target in (None, 0):
+        attacked, got = attacks._spoof(swarm, ms, fakes, dist_var, np.random.default_rng(9), target)
+        uavs = [replace(u, reported_pos=fakes[u.id], ground_truth_malicious=True) if u.id in fakes else u
+                for u in swarm.uavs]
+        entries = reference_claims(uavs, dict(ms.entries), ids, swarm.comm_range, dist_var,
+                                   np.random.default_rng(9), target)
+        assert list(got.entries.items()) == list(entries.items())
+        assert np.array_equal(attacked.reported_positions(), np.array([u.reported_pos for u in uavs]))
+        assert attacked.malicious_ids() == frozenset(ids)
+        if target is not None:
+            assert all((k, target) in got.entries for k in ids)
+
+
+@pytest.mark.parametrize("n, m", SIZES)
+@pytest.mark.parametrize("dist_var", DIST_VARS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_evidence_matches_reference(kind, dist_var, n, m):
+    for seed in (1, 2):
+        swarm, noise = honest(n, seed, dist_var)
+        scen = ss.build_attack(swarm, ss.measure_distances(swarm, noise, seed=seed), kind, m,
+                               seed=seed, dist_var=dist_var)
+        ctx = DetectionContext(scen)
+        for name, expected in reference_evidence(scen).items():
+            assert getattr(ctx, name) == expected, name
+
+
+def test_evidence_without_measurements():
+    swarm, _ = honest(5, 1, 0.0)
+    ctx = DetectionContext(ss.AttackedScenario(swarm, ss.MeasurementSet(5, {})))
+    assert ctx.evidence == {k: 0 for k in range(5)}
+    assert ctx.accusers == ctx.conflicting_accusers == {k: set() for k in range(5)}
+    assert ctx.discredited == ctx.unvouched == set()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_violating_pairs_with_keys_the_measurements_lack(kind):
+    swarm, noise = honest(20, 4, 1e-6)
+    scen = ss.build_attack(swarm, ss.measure_distances(swarm, noise, seed=4), kind, 4, seed=4, dist_var=1e-6)
+    ms, d = scen.measurements, swarm.comm_range
+    reported = DetectionContext(scen).reported.entries
+    missing = next(iter(reported))
+    extra = next((i, j) for i in range(20) for j in range(20) if i != j and (i, j) not in ms.entries)
+    e_r = ReportedDistanceMatrix(20, {**{k: v for k, v in reported.items() if k != missing}, extra: 0.1})
+    got = violating_pairs(e_r, ms, d)
+    assert got == reference_violating_pairs(e_r, ms, d)
+    assert extra in got and missing in got

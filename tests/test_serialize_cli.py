@@ -140,6 +140,16 @@ class TestCli:
         scen_path.write_text(json.dumps(data))
         assert run_cli("detect", str(scen_path)) == 2
 
+    def test_attack_rejects_measurements_of_another_swarm(self, tmp_path):
+        small, large = tmp_path / "n10.json", tmp_path / "n12.json"
+        assert run_cli("generate", "--n", "10", "--seed", "1", "--out", str(small)) == 0
+        assert run_cli("generate", "--n", "12", "--seed", "1", "--out", str(large)) == 0
+        data = json.loads(small.read_text())
+        data["measurements"] = json.loads(large.read_text())["measurements"]
+        small.write_text(json.dumps(data))
+        assert run_cli("attack", str(small), "--out", str(tmp_path / "out")) == 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("spoil", [
         {"comm_range": float("nan")},
         {"cube_half_width": float("inf")},

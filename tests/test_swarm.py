@@ -37,7 +37,7 @@ class TestGenerateSwarm:
 
     @pytest.mark.parametrize("bad", [dict(n=1), dict(cube_half_width=0.0), dict(comm_range=-1.0),
                                      dict(comm_range=float("nan")), dict(cube_half_width=float("nan")),
-                                     dict(cube_half_width=float("inf"))])
+                                     dict(cube_half_width=float("inf")), dict(n=2.5), dict(n=5.0)])
     def test_invalid_parameters(self, bad):
         kwargs = dict(n=5, cube_half_width=0.5, comm_range=0.3, seed=0)
         kwargs.update(bad)
