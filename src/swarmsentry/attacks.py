@@ -32,6 +32,7 @@ from .swarm import (
     MeasurementSet,
     Swarm,
     neighbor_set,
+    row_norms,
 )
 
 # Colluders keep their fakes this fraction of the range away from the
@@ -141,14 +142,14 @@ def _spoof(
     attacked = replace(swarm, uavs=tuple(uavs))
     reported = attacked.reported_positions()
     entries = {k: r for k, r in measurements.entries.items() if k[0] not in fakes}
+    ids = np.arange(swarm.n)
     for m_id in sorted(fakes):
-        for j in range(swarm.n):
-            if j == m_id:
-                continue
-            dist = float(np.linalg.norm(reported[m_id] - reported[j]))
-            if dist <= swarm.comm_range or j == target:
-                noise = rng.normal(0.0, np.sqrt(dist_var)) if dist_var > 0 else 0.0
-                entries[(m_id, j)] = max(dist + noise, DISTANCE_FLOOR)
+        dist = row_norms(reported[m_id] - reported)
+        js = np.flatnonzero(((dist <= swarm.comm_range) | (ids == target)) & (ids != m_id))
+        # One draw of k values equals k scalar draws, in the same (id) order.
+        noise = rng.normal(0.0, np.sqrt(dist_var), size=js.size) if dist_var > 0 else 0.0
+        claims = np.maximum(dist[js] + noise, DISTANCE_FLOOR)
+        entries.update(zip(((m_id, j) for j in js.tolist()), claims.tolist()))
     return attacked, MeasurementSet(swarm.n, entries)
 
 

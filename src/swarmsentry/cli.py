@@ -13,10 +13,9 @@ import sys
 
 from . import serialize
 from .attacks import ATTACK_KINDS, build_attack
-from .detectors import ALGORITHMS, ECDI, DetectorOptions, detect
+from .detectors import ALGORITHMS, ECDI, DetectionContext, DetectorOptions, detect
 from .experiments import ExperimentConfig, preset, rows_to_csv, rows_to_plot_data, run_sweep
 from .sdp import check_feasibility
-from .suspects import build_reported_matrix, initial_suspects
 from .swarm import InvalidParameterError, NoiseParams, apply_position_noise, generate_swarm, measure_distances
 
 
@@ -61,10 +60,10 @@ def cmd_attack(args) -> int:
 
 def cmd_detect(args) -> int:
     scenario = serialize.scenario_from_dict(serialize.load_path(args.input))
-    initial = initial_suspects(build_reported_matrix(scenario), scenario.measurements, scenario.swarm.comm_range)
     options = DetectorOptions(paper_replication=args.paper_replication)
-    result = detect(args.algo, scenario, initial, options, args.malicious_count, args.seed)
-    payload = serialize.detection_to_dict(result, initial)
+    context = DetectionContext(scenario, options)
+    result = detect(args.algo, scenario, context.initial, options, args.malicious_count, args.seed, context=context)
+    payload = serialize.detection_to_dict(result, context.initial)
     payload["algorithm"] = args.algo
     if scenario.plan is not None:
         payload["ground_truth_malicious"] = sorted(scenario.truth())

@@ -92,6 +92,10 @@ class DetectionContext:
         # lightly-implicated members are assessed first so exonerations
         # accumulate benign context before heavily-implicated ones are tried.
         self.evidence = violation_counts(self.reported, scenario.measurements, scenario.swarm.comm_range)
+        # The initial partition, read off the same counts: an id is suspected
+        # iff a violating pair touches it (as in ``initial_suspects``).
+        self.initial = SuspectSets(tuple(k for k, c in self.evidence.items() if c),
+                                   tuple(k for k, c in self.evidence.items() if not c))
         # Who claims a measurement about each id: a singleton check of id is
         # conclusive only once these counterparties have been assessed.
         entries = scenario.measurements.entries

@@ -172,8 +172,8 @@ def run_trial(config: ExperimentConfig, point_index: int, trial_index: int) -> T
     # one context shares its evidence and oracle verdicts, and ends with the
     # trial.  A trial of sampling baselines alone needs only the matrix.
     context = DetectionContext(scenario, options) if {CDI, ECDI} & set(point.algorithms) else None
-    e_r = build_reported_matrix(scenario) if context is None else context.reported
-    initial = initial_suspects(e_r, scenario.measurements, scenario.swarm.comm_range)
+    initial = (context.initial if context is not None else
+               initial_suspects(build_reported_matrix(scenario), scenario.measurements, scenario.swarm.comm_range))
     truth = scenario.truth()
     r_m = malicious_ratio(initial)
 

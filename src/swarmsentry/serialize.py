@@ -42,8 +42,8 @@ def swarm_to_dict(swarm: Swarm) -> dict:
         "uavs": [
             {
                 "id": u.id,
-                "true_pos": list(u.true_pos),
-                "reported_pos": list(u.reported_pos),
+                "true_pos": u.true_pos.tolist(),
+                "reported_pos": u.reported_pos.tolist(),
                 "malicious": u.ground_truth_malicious,
             }
             for u in swarm.uavs
@@ -225,12 +225,50 @@ def detection_to_dict(result: DetectionResult, initial: SuspectSets | None = Non
 def dumps(data: dict) -> str:
     """Canonical JSON text: sorted keys, stable float repr, trailing newline.
 
-    NaN and infinities are not JSON; they raise InvalidParameterError.
+    Byte-identical to ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``,
+    which runs json's pure-Python encoder (any indent does); lists go to the
+    C encoder here.  NaN and infinities raise InvalidParameterError.
     """
     try:
-        return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
+        return _encode(data, "\n") + "\n"
+    except (ValueError, RecursionError) as exc:   # RecursionError: a dict that holds itself
         raise InvalidParameterError(f"cannot encode as JSON: {exc}") from exc
+
+
+_compact = json.JSONEncoder(separators=(",", ":"), sort_keys=True, allow_nan=False).encode
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` as indented JSON; ``newline`` is a newline plus the
+    indentation of the line ``value`` starts on."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sorted(value.items())
+        return "{" + ",".join(f"{inner}{_key(k)}: {_encode(v, inner)}" for k, v in items) + newline + "}"
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    text = _compact(value)
+    if not isinstance(value, (list, tuple)) or text == "[]":
+        return text
+    if '"' not in text:
+        # No strings (so no non-empty dicts): every token is a number, a
+        # literal or {}, and a flat list or a list of non-empty flat rows is
+        # indented by replacing its punctuation.
+        if "[" not in text[1:]:
+            return "[" + inner + text[1:-1].replace(",", "," + inner) + newline + "]"
+        rows = text[2:-2]
+        if text[1] == "[" and text[-2] == "]" and "[]" not in text and "[" not in rows.replace("],[", ""):
+            row = inner + "  "
+            rows = rows.replace(",", "," + row).replace("]," + row + "[", inner + "]," + inner + "[" + row)
+            return "[" + inner + "[" + row + rows + inner + "]" + newline + "]"
+    return "[" + ",".join(inner + _encode(v, inner) for v in value) + newline + "]"
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: non-string keys become strings."""
+    return json.encoder.encode_basestring_ascii(key) if isinstance(key, str) else _compact({key: 0})[1:-3]
 
 
 def load_path(path: str) -> dict:

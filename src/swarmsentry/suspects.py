@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackedScenario
-from .swarm import InvalidParameterError, MeasurementSet
+from .swarm import InvalidParameterError, MeasurementSet, row_norms
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,10 @@ class SuspectSets:
 def build_reported_matrix(scenario: AttackedScenario) -> ReportedDistanceMatrix:
     """Euclidean distances between reported positions, on the claimed adjacency."""
     pos = scenario.swarm.reported_positions()
-    entries = {
-        (i, j): float(np.linalg.norm(pos[i] - pos[j]))
-        for (i, j) in scenario.measurements.entries
-    }
-    return ReportedDistanceMatrix(scenario.n, entries)
+    keys = list(scenario.measurements.entries)
+    pairs = np.array(keys, dtype=np.intp).reshape(-1, 2)
+    dist = row_norms(pos[pairs[:, 0]] - pos[pairs[:, 1]])
+    return ReportedDistanceMatrix(scenario.n, dict(zip(keys, dist.tolist())))
 
 
 def violating_pairs(

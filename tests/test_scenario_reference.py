@@ -3,9 +3,12 @@
 ``reference_measure``, ``reference_attack`` and ``reference_evidence`` keep
 the loop-per-pair code that measured distances, rewrote attackers' claims
 (one attacker at a time, filtering and re-appending the whole entry map) and
-collected a detection context's evidence.  The library's results must equal
-them exactly: the same floats, the same entry insertion order, the same
-reports and flags.
+collected a detection context's evidence; ``reference_reported`` keeps the
+per-pair ``np.linalg.norm`` of the reported-distance matrix.  The library's
+results must equal them exactly: the same floats, the same entry insertion
+order, the same reports and flags.  Row-wise norms, row sums and ``einsum``
+differ from the per-pair norm in the last bit on about one pair in eight, so
+swarms up to n=240 in cubes of half-width 1e-3 to 5 catch any of them.
 """
 
 from dataclasses import replace
@@ -16,12 +19,14 @@ import pytest
 import swarmsentry as ss
 from swarmsentry import attacks, seeds
 from swarmsentry.detectors import DetectionContext
-from swarmsentry.suspects import ReportedDistanceMatrix, violating_pairs
+from swarmsentry.suspects import ReportedDistanceMatrix, build_reported_matrix, initial_suspects, violating_pairs
 from swarmsentry.swarm import DISTANCE_FLOOR
 
 KINDS = ("distributed", "collusion", "mixed")
 DIST_VARS = (0.0, 1e-6, 1e-3)
 SIZES = ((10, 3), (30, 6))   # (n, attacker count)
+LARGE = (240, 24)
+WIDTHS = (1e-3, 0.5, 5.0)   # cube half-widths; comm range and noise scale with them
 
 
 def reference_measure(swarm, params, seed):
@@ -103,10 +108,15 @@ def reference_violating_pairs(e_r, e_n, d):
     return out
 
 
+def reference_reported(scenario):
+    pos = scenario.swarm.reported_positions()
+    return {(i, j): float(np.linalg.norm(pos[i] - pos[j])) for (i, j) in scenario.measurements.entries}
+
+
 def reference_evidence(scenario):
     ms, n, d = scenario.measurements, scenario.n, scenario.swarm.comm_range
     pos = scenario.swarm.reported_positions()
-    e_r = ReportedDistanceMatrix(n, {(i, j): float(np.linalg.norm(pos[i] - pos[j])) for (i, j) in ms.entries})
+    e_r = ReportedDistanceMatrix(n, reference_reported(scenario))
     evidence = {k: 0 for k in range(n)}
     for (i, j) in reference_violating_pairs(e_r, ms, d):
         evidence[i] += 1
@@ -130,10 +140,16 @@ def reference_evidence(scenario):
                 discredited=discredited, unvouched=unvouched)
 
 
-def honest(n, seed, dist_var):
-    noise = ss.NoiseParams(1e-6, dist_var)
-    swarm = ss.apply_position_noise(ss.generate_swarm(n, 0.5, 0.3, seed=seed), noise, seed=seed)
+def honest(n, seed, dist_var, w=0.5):
+    noise = ss.NoiseParams(1e-6 * (w / 0.5) ** 2, dist_var)
+    swarm = ss.apply_position_noise(ss.generate_swarm(n, w, 0.6 * w, seed=seed), noise, seed=seed)
     return swarm, noise
+
+
+def attacked(kind, n, m, seed, dist_var, w=0.5):
+    swarm, noise = honest(n, seed, dist_var, w)
+    return ss.build_attack(swarm, ss.measure_distances(swarm, noise, seed=seed), kind, m,
+                           seed=seed, dist_var=dist_var)
 
 
 @pytest.mark.parametrize("dist_var", DIST_VARS)
@@ -147,9 +163,9 @@ def test_measure_matches_reference(n, dist_var):
 @pytest.mark.parametrize("n, m", SIZES)
 @pytest.mark.parametrize("dist_var", DIST_VARS)
 @pytest.mark.parametrize("kind", KINDS)
-def test_attack_matches_reference(kind, dist_var, n, m):
+def test_attack_matches_reference(kind, dist_var, n, m, w=0.5):
     for seed in (1, 2):
-        swarm, noise = honest(n, seed, dist_var)
+        swarm, noise = honest(n, seed, dist_var, w)
         ms = ss.measure_distances(swarm, noise, seed=seed)
         scen = ss.build_attack(swarm, ms, kind, m, seed=seed, dist_var=dist_var)
         uavs, entries = reference_attack(swarm, ms, kind, m, seed, dist_var)
@@ -161,14 +177,14 @@ def test_attack_matches_reference(kind, dist_var, n, m):
 
 @pytest.mark.parametrize("dist_var", DIST_VARS)
 @pytest.mark.parametrize("n", (10, 30))
-def test_spoof_matches_reference(n, dist_var):
+def test_spoof_matches_reference(n, dist_var, w=0.5):
     # Fakes anywhere in the cube: the forced target is often out of range of
     # them, so its claim is made only because it is forced.
-    swarm, noise = honest(n, 5, dist_var)
+    swarm, noise = honest(n, 5, dist_var, w)
     ms = ss.measure_distances(swarm, noise, seed=5)
     rng = np.random.default_rng(5)
     ids = sorted(int(k) for k in rng.choice(range(1, n), size=4, replace=False))
-    fakes = {k: rng.uniform(-0.5, 0.5, size=3) for k in ids}
+    fakes = {k: rng.uniform(-w, w, size=3) for k in ids}
     for target in (None, 0):
         attacked, got = attacks._spoof(swarm, ms, fakes, dist_var, np.random.default_rng(9), target)
         uavs = [replace(u, reported_pos=fakes[u.id], ground_truth_malicious=True) if u.id in fakes else u
@@ -182,17 +198,45 @@ def test_spoof_matches_reference(n, dist_var):
             assert all((k, target) in got.entries for k in ids)
 
 
+@pytest.mark.parametrize("w", WIDTHS)
+@pytest.mark.parametrize("dist_var", DIST_VARS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_attack_matches_reference_at_scale(kind, dist_var, w):
+    test_attack_matches_reference(kind, dist_var, *LARGE, w)
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+@pytest.mark.parametrize("dist_var", DIST_VARS)
+def test_spoof_matches_reference_at_scale(dist_var, w):
+    test_spoof_matches_reference(LARGE[0], dist_var, w)
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+@pytest.mark.parametrize("n, m", SIZES + (LARGE,))
+@pytest.mark.parametrize("kind", KINDS)
+def test_reported_matrix_matches_reference(kind, n, m, w):
+    for seed in (1, 2):
+        scen = attacked(kind, n, m, seed, 1e-6, w)
+        assert list(build_reported_matrix(scen).entries.items()) == list(reference_reported(scen).items())
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+@pytest.mark.parametrize("dist_var", DIST_VARS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_evidence_matches_reference_at_scale(kind, dist_var, w):
+    test_evidence_matches_reference(kind, dist_var, *LARGE, w)
+
+
 @pytest.mark.parametrize("n, m", SIZES)
 @pytest.mark.parametrize("dist_var", DIST_VARS)
 @pytest.mark.parametrize("kind", KINDS)
-def test_evidence_matches_reference(kind, dist_var, n, m):
+def test_evidence_matches_reference(kind, dist_var, n, m, w=0.5):
     for seed in (1, 2):
-        swarm, noise = honest(n, seed, dist_var)
-        scen = ss.build_attack(swarm, ss.measure_distances(swarm, noise, seed=seed), kind, m,
-                               seed=seed, dist_var=dist_var)
+        scen = attacked(kind, n, m, seed, dist_var, w)
         ctx = DetectionContext(scen)
         for name, expected in reference_evidence(scen).items():
             assert getattr(ctx, name) == expected, name
+        assert ctx.initial == initial_suspects(ctx.reported, scen.measurements, scen.swarm.comm_range)
 
 
 def test_evidence_without_measurements():
@@ -205,9 +249,8 @@ def test_evidence_without_measurements():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_violating_pairs_with_keys_the_measurements_lack(kind):
-    swarm, noise = honest(20, 4, 1e-6)
-    scen = ss.build_attack(swarm, ss.measure_distances(swarm, noise, seed=4), kind, 4, seed=4, dist_var=1e-6)
-    ms, d = scen.measurements, swarm.comm_range
+    scen = attacked(kind, 20, 4, 4, 1e-6)
+    ms, d = scen.measurements, scen.swarm.comm_range
     reported = DetectionContext(scen).reported.entries
     missing = next(iter(reported))
     extra = next((i, j) for i in range(20) for j in range(20) if i != j and (i, j) not in ms.entries)
