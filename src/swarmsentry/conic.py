@@ -29,7 +29,12 @@ core, which ``sdp.check_feasibility`` (one assembled sub-network) and
   an upper bound; its normalized central-path multipliers, fed to the
   node's closed-form Lagrange dual, are a lower bound.  The solve stops at
   the first point that certifies its verdict, and the loop at the first
-  node proven infeasible;
+  node proven infeasible.  ``sdp.ScenarioOracle``, which meets each node
+  again under other anchor sets, gives the loop a second certificate
+  first: a node whose report misses the tolerance is evaluated exactly at
+  its kept point (its last solved point within ``tol_feas``), and enters
+  the witness there when that point is within ``tol_feas``, so only nodes
+  that miss both are solved;
 * ``sdp.verdict`` turns the two bounds into a status.
 
 Only ``sdp.check_feasibility``, which returns positions, then pulls each
@@ -41,6 +46,7 @@ decisions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,6 +60,7 @@ _BARRIER_GROWTH = 10.0
 _NEWTON_STEPS = 50          # per stage; centering usually ends far sooner
 _NEWTON_DECREMENT = 1e-6
 _RETRACT_STEPS = 20
+_EYE3 = np.eye(3)
 
 
 @dataclass
@@ -378,21 +385,22 @@ class NodeBarrier:
         after earlier stages still hold.
         """
         G, v = self.G, self.v
+        cone_grad = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
         for _ in range(steps):
             r = self.c + G @ v
             u = v[:3]
             cone = v[3] - u @ u
-            cone_grad = np.array([*(-2.0 * u), 1.0, 0.0])
+            np.multiply(u, -2.0, out=cone_grad[:3])
             Gs = G / r[:, None]
             grad = -Gs.sum(axis=0) - cone_grad / cone
             grad[4] += self.tau
-            H = Gs.T @ Gs + np.outer(cone_grad, cone_grad) / cone**2
-            H[:3, :3] += np.eye(3) * (2.0 / cone)
+            H = Gs.T @ Gs + cone_grad[:, None] * cone_grad[None, :] / cone**2
+            H[:3, :3] += _EYE3 * (2.0 / cone)
             try:
                 step = -np.linalg.solve(H, grad)
             except np.linalg.LinAlgError:
                 return False
-            decrement = float(np.sqrt(max(-grad @ step, 0.0)))
+            decrement = math.sqrt(max(-grad @ step, 0.0))
             v = v + step / (1.0 + decrement)
             if decrement < _NEWTON_DECREMENT:
                 break

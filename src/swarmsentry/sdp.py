@@ -295,14 +295,22 @@ class ScenarioOracle:
       the sub-network, from thresholds computed once for every directed pair
       of the scenario;
     * a node's verdict depends only on which of its measured counterparts are
-      in the sub-network.  It is kept per (node, counterparts present): the
-      slack of its own report when that is within ``tol_feas``, else the
-      bounds of its node solve.  Between calls only nodes whose counterparts
-      changed are looked up again, whichever run made the previous call, and
-      the uncached ones go through ``conic.refine_witness`` together.
+      in the sub-network.  It is kept per (node, counterparts present).
+      Between calls only nodes whose counterparts changed are looked up
+      again, whichever run made the previous call;
+    * an uncached node is settled by the first of three certificates: the
+      exact slack of its own report, then the exact slack of its kept point
+      (the last node solve of it that ended within ``tol_feas``, whatever
+      its counterparts were then), each when within ``tol_feas`` and kept as
+      (that slack, -inf); the nodes that miss both go through
+      ``conic.refine_witness`` together, and keep the bounds of their solve.
 
-    A node not yet decided counts as unbounded above; the order in which
-    nodes are decided does not change the status.
+    A kept point within ``tol_feas`` proves the node's optimum is too, so no
+    valid lower bound of it reaches ``tol_infeas``: it settles the node as
+    its solve would, unless that solve would have stalled.  A node not yet
+    decided counts as unbounded above; the order in which nodes are decided
+    does not change the status.  ``node_solves``, ``carried`` (nodes
+    settled by a kept point) and ``cache_hits`` count the work done so far.
     """
 
     def __init__(self, scenario: AttackedScenario, options: DetectorOptions):
@@ -329,6 +337,21 @@ class ScenarioOracle:
         self.current = np.zeros(self.n, dtype=bool)
         self.upper = np.zeros(self.n)
         self.lower = np.zeros(self.n)
+        # Each node's last solved point within tol_feas (NaN before one).
+        self.kept = np.full((self.n, 3), np.nan)
+        self._node_solves = self._carried = self._cache_hits = 0
+
+    @property
+    def node_solves(self) -> int:
+        return self._node_solves
+
+    @property
+    def carried(self) -> int:
+        return self._carried
+
+    @property
+    def cache_hits(self) -> int:
+        return self._cache_hits
 
     def check(self, sub_ids) -> str:
         """Status of the sub-network ``sub_ids`` (an iterable of UAV ids)."""
@@ -367,6 +390,7 @@ class ScenarioOracle:
             else:
                 self.upper[i], self.lower[i] = hit
                 self.current[i] = True
+                self._cache_hits += 1
         decided = members[self.current[members]]
         if misses and not np.any(self.lower[decided] >= self.opts.tol_infeas):
             self._decide(misses)
@@ -375,15 +399,29 @@ class ScenarioOracle:
         return upper, np.max(self.lower[decided])
 
     def _decide(self, misses: list) -> None:
-        """Run the node loop on the family of uncached nodes, and keep the
-        verdict of each node it settles."""
+        """Settle the uncached nodes by their reports, then by their kept
+        points, then by the node loop, and keep the verdict of each node
+        settled."""
         ids = [i for i, _rows, _key in misses]
         rows = np.concatenate([r for _i, r, _key in misses] + [self.cons.n_pairs + np.array(ids)])
         family = self.cons.family(ids, rows)
+        tol = self.opts.tol_feas
         witness = conic.evaluate_witness(family, family.positions.copy())
-        solved = conic.refine_witness(family, witness, self.opts.tol_feas, self.opts.tol_infeas)
+        kept = self.kept[ids]
+        retry = (witness.node_slack > tol) & ~np.isnan(kept[:, 0])
+        if np.any(retry):
+            # Nodes are separable, so each node's slack here is exactly that
+            # of its kept point on its one-node family.
+            at_kept = conic.evaluate_witness(family, np.where(retry[:, None], kept, family.positions))
+            for k in np.flatnonzero(retry & (at_kept.node_slack <= tol)).tolist():
+                witness.put(k, at_kept.entry(k))
+                self._carried += 1
+        solved = conic.refine_witness(family, witness, tol, self.opts.tol_infeas)
+        self._node_solves += len(solved)
         for k, (i, _rows, key) in enumerate(misses):
-            if k in solved or witness.node_slack[k] <= self.opts.tol_feas:
+            if k in solved or witness.node_slack[k] <= tol:
                 self.verdicts[key] = (float(witness.node_slack[k]), solved.get(k, -np.inf))
                 self.upper[i], self.lower[i] = self.verdicts[key]
                 self.current[i] = True
+                if k in solved and witness.node_slack[k] <= tol:
+                    self.kept[i] = witness.X[k]

@@ -27,7 +27,7 @@ def _decoder(fn):
             return fn(data)
         except InvalidParameterError:
             raise
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise InvalidParameterError(f"{fn.__name__}: malformed input ({exc!r})") from exc
 
     return wrapper

@@ -6,7 +6,9 @@ sub-network it is asked about must get the status ``check_feasibility`` gives
 ``assemble`` of it, and the same pairwise bound bit for bit, whatever the
 order of the questions.  Sub-networks are drawn at random and in the shapes
 the detectors ask (trusted set plus one suspect, with or without its
-neighborhood).
+neighborhood).  A long-lived oracle settles a node by the point it kept from
+an earlier solve when that point is within tolerance: it must still give
+every sub-network the status a fresh oracle gives it.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import swarmsentry as ss
-from swarmsentry import conic, sdp
+from swarmsentry import conic, detectors, experiments, sdp
 from swarmsentry.detectors import DetectorOptions
 from swarmsentry.suspects import build_reported_matrix, initial_suspects
 from swarmsentry.swarm import neighbor_set
@@ -38,6 +40,64 @@ def scenarios(draw):
     return make_scenario(kind, m, seed=seed, n=n, dist_var=dist_var)
 
 
+@st.composite
+def detector_scenarios(draw):
+    kind = draw(st.sampled_from(("distributed", "collusion", "mixed")))
+    n = draw(st.integers(20, 40))
+    m = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 10_000))
+    d = draw(st.sampled_from((0.3, 0.45)))
+    dist_var = draw(st.sampled_from((1e-6, 1e-3)))
+    return make_scenario(kind, m, seed=seed, n=n, d=d, dist_var=dist_var)
+
+
+def node_family(oracle, i: int, present: np.ndarray) -> conic.CompiledConstraints:
+    """Node ``i``'s one-node family with the pair rows marked in ``present``."""
+    first = oracle.first_row[i]
+    rows = np.concatenate([first + np.flatnonzero(present), [oracle.cons.n_pairs + i]])
+    return oracle.cons.family([i], rows)
+
+
+def checked_against_fresh(oracle: sdp.ScenarioOracle, scen, sub) -> str:
+    """``oracle.check(sub)``, asserting that a fresh oracle gives the same
+    status, that the work counters count this call's solves and kept-point
+    settlements, and that every verdict a kept point settled is that
+    point's exact slack on the node's family, within tol_feas."""
+    tol = oracle.opts.tol_feas
+    seen, carried, solves = set(oracle.verdicts), oracle.carried, oracle.node_solves
+    with counted_node_solves() as solved:
+        status = sdp.ScenarioOracle.check(oracle, sub)
+    assert status == sdp.ScenarioOracle(scen, DetectorOptions()).check(sub)
+    assert oracle.node_solves - solves == len(solved)
+    solved_anchors = {family.anchor.tobytes() for family in solved}
+    settled_by_kept = 0
+    for key in oracle.verdicts.keys() - seen:
+        i, present = key
+        family = node_family(oracle, i, np.frombuffer(present, dtype=bool))
+        at_report = conic.evaluate_witness(family, family.positions.copy()).slack
+        if family.anchor.tobytes() in solved_anchors or at_report <= tol:
+            continue
+        upper, lower = oracle.verdicts[key]
+        assert upper == conic.evaluate_witness(family, oracle.kept[i][None, :].copy()).slack
+        assert upper <= tol and lower == -np.inf
+        settled_by_kept += 1
+    assert oracle.carried - carried == settled_by_kept
+    return status
+
+
+def star(past) -> ss.AttackedScenario:
+    """UAV 0 at the origin, measuring four neighbors along +x, -x, +y and -y
+    whose reports sit ``past`` beyond communication range 0.3, with claims
+    1e-3 inside it."""
+    d = 0.3
+    axes = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
+    positions = np.vstack([np.zeros(3), (d + np.array(past))[:, None] * axes])
+    entries = {}
+    for k in range(1, 5):
+        entries[(0, k)] = entries[(k, 0)] = d - 1e-3
+    return ss.AttackedScenario(hand_swarm(positions, d), ss.MeasurementSet(5, entries))
+
+
 def sub_network(data, scen) -> frozenset[int]:
     initial = initial_suspects(build_reported_matrix(scen), scen.measurements, scen.swarm.comm_range)
     shape = data.draw(st.sampled_from(("random", "suspect", "neighborhood")))
@@ -53,9 +113,10 @@ def sub_network(data, scen) -> frozenset[int]:
 
 @contextlib.contextmanager
 def counted_node_solves():
-    """Patch ``conic.solve_node`` to append to the yielded list per call."""
+    """Patch ``conic.solve_node`` to append each call's one-node family to
+    the yielded list."""
     solves, solve_node = [], conic.solve_node
-    conic.solve_node = lambda *a: solves.append(1) or solve_node(*a)
+    conic.solve_node = lambda *a: solves.append(a[0]) or solve_node(*a)
     try:
         yield solves
     finally:
@@ -99,6 +160,41 @@ class TestScenarioOracle:
                 assert oracle.check(smaller) != sdp.INFEASIBLE
 
     @SETTINGS
+    @given(scen=detector_scenarios(), data=st.data())
+    def test_kept_points_settle_as_a_fresh_oracle(self, scen, data):
+        # Detector-shaped questions: those of cdi then ecdi on one context,
+        # then more of the same shape (the trusted set, grown by every
+        # feasible sub-network, plus one suspect with or without its
+        # neighborhood), all asked of one long-lived oracle.
+        context = detectors.DetectionContext(scen)
+        oracle = context.oracle
+        oracle.check = lambda sub: checked_against_fresh(oracle, scen, sub)
+        for detect in (detectors.cdi, detectors.ecdi):
+            detect(context.initial, scen, context=context)
+        trusted = set(context.initial.trusted)
+        for _ in range(6):
+            k = data.draw(st.sampled_from(sorted(context.initial.suspected or range(scen.n))))
+            sub = trusted | {k}
+            if data.draw(st.booleans()):
+                sub |= neighbor_set(scen.measurements, k)
+            if oracle.check(sub) == sdp.FEASIBLE:
+                trusted |= sub
+
+    def test_acceptance_trial_carries_kept_points(self):
+        # A trial of the range sweep (range 0.45, trial 15), cdi then ecdi
+        # on one context: some nodes are settled by their kept points.
+        config = experiments.ExperimentConfig(
+            sweep_param="comm_range", sweep_values=(0.25, 0.30, 0.35, 0.40, 0.45),
+            attack="distributed", trials_per_point=20, base_seed=1, algorithms=("cdi", "ecdi"))
+        scen = experiments.build_scenario(config.at_point(0.45), experiments.trial_seed(1, 4, 15))
+        context = detectors.DetectionContext(scen)
+        oracle = context.oracle
+        oracle.check = lambda sub: checked_against_fresh(oracle, scen, sub)
+        for detect in (detectors.cdi, detectors.ecdi):
+            detect(context.initial, scen, context=context)
+        assert oracle.carried > 0 and oracle.node_solves > 0 and oracle.cache_hits > 0
+
+    @SETTINGS
     @given(
         D=st.floats(0.05, 0.29),
         r0=st.floats(0.02, 0.45),
@@ -137,18 +233,29 @@ class TestScenarioOracle:
         # one or two of them within its displacement budget, not toward
         # opposite ones, and no single pair shows the conflict, so the
         # verdict of UAV 0 changes with which neighbors are present.
-        d = 0.3
-        axes = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
-        positions = np.vstack([np.zeros(3), (d + np.array(past))[:, None] * axes])
-        entries = {}
-        for k in range(1, 5):
-            entries[(0, k)] = entries[(k, 0)] = d - 1e-3
-        scen = ss.AttackedScenario(hand_swarm(positions, d), ss.MeasurementSet(5, entries))
+        scen = star(past)
         oracle = sdp.ScenarioOracle(scen, DetectorOptions())
         subsets = [(0, *c) for size in range(1, 5) for c in itertools.combinations(range(1, 5), size)]
         for index in order:
             sub = subsets[index]
             assert oracle.check(sub) == sdp.check_feasibility(sdp.assemble(sub, scen)).status
+
+    @pytest.mark.parametrize("past_y, carried", [(-1e-3, 1), (1e-6, 0)])
+    def test_kept_point_settles_only_within_tolerance(self, past_y, carried):
+        # UAV 0 is solved with only its +x neighbor (2e-3 past range) and
+        # keeps a point moved toward it.  With +y added inside range, that
+        # point settles UAV 0; with +y 1e-6 past range, it misses by a few
+        # 1e-6, inside the tolerance gap, so UAV 0 is solved again.
+        scen = star([2e-3, 0.0, past_y, 0.0])
+        oracle = sdp.ScenarioOracle(scen, DetectorOptions())
+        assert checked_against_fresh(oracle, scen, (0, 1)) == sdp.FEASIBLE
+        present = np.isin(oracle.dst[oracle.first_row[0]:oracle.first_row[1]], (1, 3))
+        family = node_family(oracle, 0, present)
+        at_kept = conic.evaluate_witness(family, oracle.kept[0][None, :].copy()).slack
+        assert (at_kept <= oracle.opts.tol_feas) == bool(carried)
+        assert carried or at_kept < oracle.opts.tol_infeas
+        assert checked_against_fresh(oracle, scen, (0, 1, 3)) == sdp.FEASIBLE
+        assert (oracle.carried, oracle.node_solves) == (carried, 3 - carried)   # UAV 1 solved once
 
     def test_rejects_ids_outside_the_scenario(self):
         scen = make_scenario("distributed", 2, seed=1, n=12)

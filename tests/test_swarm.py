@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swarmsentry as ss
+from swarmsentry import serialize
 from swarmsentry.swarm import DISTANCE_FLOOR, InvalidParameterError, neighbor_set
 
 from conftest import honest_scenario, make_scenario
@@ -195,3 +196,35 @@ def test_pipeline_zero_noise_consistency():
 def test_non_finite_values_rejected(make):
     with pytest.raises(InvalidParameterError):
         make()
+
+
+
+class TestMeasurementValidation:
+    """``MeasurementSet`` names the first bad entry in insertion order,
+    whether the set is built directly or decoded from JSON."""
+
+    @pytest.mark.parametrize("entries, message", [
+        ({(0, 1): 0.2, (1, 0): float("nan"), (2, 2): 0.1}, "measurement (1, 0) must be positive and finite, got nan"),
+        ({(0, 1): 0.2, (1, 2): float("inf")}, "measurement (1, 2) must be positive and finite, got inf"),
+        ({(0, 1): 0.2, (2, 0): -0.1, (1, 0): float("nan")}, "measurement (2, 0) must be positive and finite, got -0.1"),
+        ({(0, 1): 0.2, (2, 1): 0.0}, "measurement (2, 1) must be positive and finite, got 0.0"),
+        ({(0, 1): 0.2, (2, 2): 0.1, (1, 0): -1.0}, "bad measurement pair (2, 2)"),
+        ({(0, 1): 0.2, (1, 3): 0.1}, "bad measurement pair (1, 3)"),
+        ({(-1, 0): 0.2}, "bad measurement pair (-1, 0)"),
+        ({(np.int64(0), np.int64(1)): 0.2, (np.int32(2), np.int32(2)): 0.1}, "bad measurement pair (2, 2)"),
+        ({(np.int64(0), np.int64(1)): 0.2, (np.intp(1), np.intp(5)): 0.1}, "bad measurement pair (1, 5)"),
+        ({(np.int64(0), np.int64(1)): np.float64("nan")}, "measurement (0, 1) must be positive and finite, got nan"),
+    ], ids=["nan", "inf", "negative", "zero", "self-pair", "out-of-range", "negative-id",
+            "numpy-self-pair", "numpy-out-of-range", "numpy-nan"])
+    def test_first_bad_entry_named(self, entries, message):
+        with pytest.raises(InvalidParameterError) as built:
+            ss.MeasurementSet(3, entries)
+        assert str(built.value) == message
+        rows = [[int(i), int(j), float(r)] for (i, j), r in entries.items()]
+        with pytest.raises(InvalidParameterError) as decoded:
+            serialize.measurements_from_dict({"n": 3, "entries": rows})
+        assert str(decoded.value) == message
+
+    def test_numpy_int_keys_accepted(self):
+        entries = {(np.int64(0), np.int64(1)): 0.2, (np.int32(2), np.int32(0)): np.float64(0.1)}
+        assert ss.MeasurementSet(3, entries).entries is entries

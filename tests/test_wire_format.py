@@ -129,3 +129,13 @@ def test_oracle_check_golden(tmp_path):
     assert main(["oracle-check", str(problem), "--out", str(out), "--dump", str(dump)]) == 0
     assert out.read_bytes() == golden("oracle_check.json")
     assert dump.read_bytes() == golden("oracle_check_dump.json")
+
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1]], [[0, 1, 0.2], [1, 0]], [[0, 1, 0.2, 3]], [5], [[0, None, 0.2]], [[0, "x", 0.2]],
+    [[0, 1, None]], [[0, 1.0e300, 0.2]], [[0, float("inf"), 0.2]], [[0, float("nan"), 0.2]],
+])
+def test_malformed_measurements_rejected(rows):
+    with pytest.raises(ss.InvalidParameterError):
+        serialize.measurements_from_dict({"n": 4, "entries": rows})
