@@ -40,12 +40,8 @@ from .sdp import (
     pair_constraint_matrix,
 )
 from .detectors import (
-    CdiDetector,
     DetectionResult,
     DetectorOptions,
-    EcdiDetector,
-    NlosDetector,
-    RandomDetector,
     cdi,
     detect,
     ecdi,

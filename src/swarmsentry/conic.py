@@ -238,7 +238,8 @@ class PairThresholds:
         for _ in range(_CERTIFY_STEPS):
             if bound <= 0.0:
                 return 0.0
-            if not self.satisfied(bound, k):
+            # ``[k]``: a numpy scalar's ``** 2`` can round apart from ``unmet``'s.
+            if not self.satisfied(bound, [k])[0]:
                 return bound
             # One ulp first, then doubling steps: rounding in the closed form
             # rarely puts it more than a few ulps past the float predicate.

@@ -17,23 +17,22 @@ receive the true attacker count; the proposed detectors never do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import sdp, seeds
 from .attacks import AttackedScenario
-from .metrics import precision_recall_f1
 from .suspects import (
     ReportedDistanceMatrix,
     SuspectSets,
     build_reported_matrix,
-    initial_suspects,
+    partition,
     violation_counts,
 )
 from .swarm import InvalidParameterError, MeasurementSet, neighbor_set
-from .validation import check_is_fitted, check_partition, check_scenario
+from .validation import check_partition, check_scenario
 
 CDI = "cdi"
 ECDI = "ecdi"
@@ -44,16 +43,12 @@ ALGORITHMS = (CDI, ECDI, NLOS, RANDOM)
 
 @dataclass(frozen=True)
 class DetectorOptions:
-    """Knobs shared by the feasibility-check detectors."""
+    """The one setting of the feasibility-check detectors: ``paper_replication``
+    pins each UAV's displacement budget to the bare ``sdp.EPSILON_BASE``
+    (``sdp.default_epsilon``).  The margin, the acceptance window and the
+    oracle tolerances are fixed, and an ``unknown`` verdict never exonerates."""
 
-    oracle: sdp.OracleOptions = field(default_factory=sdp.OracleOptions)
-    eps: float | None = None
-    delta: float = sdp.DEFAULT_DELTA
-    window_sq: float | None = None
     paper_replication: bool = False
-    # Unknown oracle verdicts keep ids suspected when True (conservative);
-    # when False the assessment is skipped and naturally retried next pass.
-    unknown_as_infeasible: bool = True
 
 
 @dataclass(frozen=True)
@@ -64,11 +59,6 @@ class DetectionResult:
     per_iteration_trace: tuple[tuple[int, int, str], ...]
     passes: int = 0
     flags: tuple[str, ...] = ()
-
-    def to_labels(self, n: int) -> np.ndarray:
-        labels = np.zeros(n, dtype=int)
-        labels[sorted(self.predicted_malicious)] = 1
-        return labels
 
 
 class DetectionContext:
@@ -92,10 +82,8 @@ class DetectionContext:
         # lightly-implicated members are assessed first so exonerations
         # accumulate benign context before heavily-implicated ones are tried.
         self.evidence = violation_counts(self.reported, scenario.measurements, scenario.swarm.comm_range)
-        # The initial partition, read off the same counts: an id is suspected
-        # iff a violating pair touches it (as in ``initial_suspects``).
-        self.initial = SuspectSets(tuple(k for k, c in self.evidence.items() if c),
-                                   tuple(k for k, c in self.evidence.items() if not c))
+        # The initial partition, read off the same counts.
+        self.initial = partition(self.evidence)
         # Who claims a measurement about each id: a singleton check of id is
         # conclusive only once these counterparties have been assessed.
         entries = scenario.measurements.entries
@@ -272,7 +260,6 @@ def _iterate(
     scenario = check_scenario(scenario)
     initial = check_partition(initial, scenario.n)
     ctx = DetectionContext(scenario, options) if context is None else context.serves(scenario, options)
-    options = ctx.options
     run = _Run(initial, ctx)
     if not run.suspected:
         return run.result()
@@ -306,8 +293,6 @@ def _iterate(
                 if movable & run.suspected:
                     run.exonerate(movable)
                     changed = True
-            elif status == sdp.UNKNOWN and not options.unknown_as_infeasible:
-                continue  # skip; naturally retried on the next pass
             elif refine:
                 # Per-UAV refinement of the failed neighborhood.  An id still
                 # accused by another suspect is deferred: its singleton check
@@ -416,126 +401,3 @@ def random_baseline(initial_suspected, m: int, seed: int) -> frozenset[int]:
     rng = seeds.stream(seed, seeds.RANDOM_BASELINE)
     picked = rng.choice(len(ordered), size=m, replace=False)
     return frozenset(ordered[int(k)] for k in picked)
-
-
-# ---------------------------------------------------------------------------
-# Estimator-style wrappers
-# ---------------------------------------------------------------------------
-
-class BaseDetector:
-    """Estimator-flavored interface: parameters in the constructor, derived
-    state in trailing-underscore attributes, fit/predict verbs.
-
-    ``fit`` runs detection on a scenario; ``predict`` returns one 0/1 label
-    per UAV (1 = flagged malicious).  Inputs are scenario graphs rather than
-    feature matrices, so validation is done by the package's own helpers.
-    """
-
-    _params: tuple[str, ...] = ()
-    algorithm = ""   # the name ``detect`` runs
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._params}
-
-    def set_params(self, **params) -> "BaseDetector":
-        for name, value in params.items():
-            if name not in self._params:
-                raise ValueError(f"unknown parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        return self
-
-    def _detect(self, scenario: AttackedScenario, initial: SuspectSets) -> DetectionResult:
-        raise NotImplementedError
-
-    def fit(self, scenario: AttackedScenario, initial: SuspectSets | None = None) -> "BaseDetector":
-        scenario = check_scenario(scenario)
-        if initial is None:
-            e_r = build_reported_matrix(scenario)
-            initial = initial_suspects(e_r, scenario.measurements, scenario.swarm.comm_range)
-        self.initial_ = initial
-        self.result_ = self._detect(scenario, initial)
-        self.predicted_malicious_ = self.result_.predicted_malicious
-        self.n_ = scenario.n
-        return self
-
-    def predict(self, scenario: AttackedScenario | None = None) -> np.ndarray:
-        if scenario is not None and not hasattr(self, "result_"):
-            self.fit(scenario)
-        check_is_fitted(self)
-        return self.result_.to_labels(self.n_)
-
-    def fit_predict(self, scenario: AttackedScenario, initial: SuspectSets | None = None) -> np.ndarray:
-        return self.fit(scenario, initial).predict()
-
-    def score(self, scenario: AttackedScenario) -> float:
-        """F1 against the scenario's ground-truth attacker set."""
-        check_is_fitted(self)
-        return precision_recall_f1(self.predicted_malicious_, check_scenario(scenario).truth())[2]
-
-
-class _FeasibilityDetector(BaseDetector):
-    _params = ("eps", "delta", "window_sq", "paper_replication", "unknown_as_infeasible", "oracle_options")
-
-    def __init__(
-        self,
-        eps: float | None = None,
-        delta: float = sdp.DEFAULT_DELTA,
-        window_sq: float | None = None,
-        paper_replication: bool = False,
-        unknown_as_infeasible: bool = True,
-        oracle_options: sdp.OracleOptions | None = None,
-    ):
-        self.eps = eps
-        self.delta = delta
-        self.window_sq = window_sq
-        self.paper_replication = paper_replication
-        self.unknown_as_infeasible = unknown_as_infeasible
-        self.oracle_options = oracle_options
-
-    def _options(self) -> DetectorOptions:
-        return DetectorOptions(
-            oracle=self.oracle_options or sdp.OracleOptions(),
-            eps=self.eps,
-            delta=self.delta,
-            window_sq=self.window_sq,
-            paper_replication=self.paper_replication,
-            unknown_as_infeasible=self.unknown_as_infeasible,
-        )
-
-    def _detect(self, scenario, initial):
-        return detect(self.algorithm, scenario, initial, self._options())
-
-
-class CdiDetector(_FeasibilityDetector):
-    """Neighborhood-granularity feasibility detector."""
-
-    algorithm = CDI
-
-
-class EcdiDetector(_FeasibilityDetector):
-    """Feasibility detector with per-UAV refinement of failed neighborhoods."""
-
-    algorithm = ECDI
-
-
-class _SamplingDetector(BaseDetector):
-    _params = ("n_malicious", "seed")
-
-    def __init__(self, n_malicious: int, seed: int = 0):
-        self.n_malicious = n_malicious
-        self.seed = seed
-
-    def _detect(self, scenario, initial):
-        return detect(self.algorithm, scenario, initial, malicious_count=self.n_malicious, seed=self.seed)
-
-
-class NlosDetector(_SamplingDetector):
-    """Discrepancy-ranked sampling baseline (receives the true attacker count)."""
-
-    algorithm = NLOS
-
-
-class RandomDetector(_SamplingDetector):
-    """Uniform-sampling baseline over the initial suspects."""
-
-    algorithm = RANDOM

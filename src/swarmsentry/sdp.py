@@ -52,13 +52,6 @@ class OracleOptions:
             raise InvalidParameterError("need tol_feas < tol_infeas")
 
 
-def _check_scalars(comm_range: float, epsilon: float, margin: float, window_sq: float) -> None:
-    if not all(math.isfinite(x) for x in (comm_range, epsilon, margin, window_sq)):
-        raise InvalidParameterError("range, epsilon, margin and window must be finite")
-    if epsilon < 0 or margin <= 0 or comm_range <= 0:
-        raise InvalidParameterError("need epsilon >= 0, margin > 0, range > 0")
-
-
 @dataclass(frozen=True)
 class FeasibilityProblem:
     """One assembled feasibility instance over a sub-network.
@@ -79,7 +72,10 @@ class FeasibilityProblem:
     def __post_init__(self):
         if not self.node_order:
             raise InvalidParameterError("sub-network must be nonempty")
-        _check_scalars(self.comm_range, self.epsilon, self.strictness_margin, self.window_sq)
+        if not all(math.isfinite(x) for x in (self.comm_range, self.epsilon, self.strictness_margin, self.window_sq)):
+            raise InvalidParameterError("range, epsilon, margin and window must be finite")
+        if self.epsilon < 0 or self.strictness_margin <= 0 or self.comm_range <= 0:
+            raise InvalidParameterError("need epsilon >= 0, margin > 0, range > 0")
         try:
             pos = np.array([self.reported_positions[uid] for uid in self.node_order], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
@@ -161,23 +157,13 @@ def _uav_ids(sub_ids, n: int) -> np.ndarray:
     return ids
 
 
-def _resolve(comm_range: float, eps, window_sq, paper_replication: bool) -> tuple[float, float]:
-    """Displacement budget and acceptance window, with their defaults filled in."""
-    if eps is None:
-        eps = default_epsilon(paper_replication)
-    if window_sq is None:
-        window_sq = (comm_range / 2.0) ** 2
-    return eps, window_sq
+def _settings(comm_range: float, paper_replication: bool) -> tuple[float, float, float]:
+    """The displacement budget, strictness margin and acceptance window of
+    every check on a scenario of this range."""
+    return default_epsilon(paper_replication), DEFAULT_DELTA, (comm_range / 2.0) ** 2
 
 
-def assemble(
-    sub_ids,
-    scenario: AttackedScenario,
-    eps: float | None = None,
-    delta: float = DEFAULT_DELTA,
-    window_sq: float | None = None,
-    paper_replication: bool = False,
-) -> FeasibilityProblem:
+def assemble(sub_ids, scenario: AttackedScenario, paper_replication: bool = False) -> FeasibilityProblem:
     """Build the feasibility instance for a sub-network of a scenario.
 
     Constraints cover every directed claimed measurement whose endpoints both
@@ -187,7 +173,7 @@ def assemble(
     """
     ids = tuple(np.unique(_uav_ids(sub_ids, scenario.n)).tolist())
     d = scenario.swarm.comm_range
-    eps, window_sq = _resolve(d, eps, window_sq, paper_replication)
+    eps, delta, window_sq = _settings(d, paper_replication)
     members = set(ids)
     pos = {u.id: u.reported_pos for u in scenario.swarm.uavs if u.id in members}
     outgoing = scenario.measurements.outgoing
@@ -284,10 +270,10 @@ class ScenarioOracle:
     runs of one ``detectors.DetectionContext``.
 
     ``check(sub_ids)`` gives the status ``check_feasibility(assemble(sub_ids,
-    ...))`` gives, with the sub-network settings of a
-    ``detectors.DetectorOptions`` (``eps``, ``delta``, ``window_sq``,
-    ``paper_replication`` and the ``oracle`` tolerances), through the same
-    decision core (see ``conic``), but builds no problem, witness or lift.
+    scenario, options.paper_replication))`` gives under the default
+    ``OracleOptions``, through the same decision core (see ``conic``), but
+    builds no problem, witness or lift.  ``paper_replication`` is the one
+    setting: every other value of a check is fixed.
     The whole scenario is compiled once, and since the relaxation is
     separable per UAV:
 
@@ -315,14 +301,12 @@ class ScenarioOracle:
 
     def __init__(self, scenario: AttackedScenario, options: DetectorOptions):
         d = scenario.swarm.comm_range
-        eps, window_sq = _resolve(d, options.eps, options.window_sq, options.paper_replication)
-        _check_scalars(d, eps, options.delta, window_sq)
-        self.opts = options.oracle
+        self.opts = OracleOptions()
         self.n = scenario.n
         outgoing = scenario.measurements.outgoing
         pairs = [t for i in range(self.n) for t in outgoing.get(i, ())]
         self.cons = conic.compile_constraints(
-            scenario.swarm.reported_positions(), pairs, d, eps, options.delta, window_sq
+            scenario.swarm.reported_positions(), pairs, d, *_settings(d, options.paper_replication)
         )
         p = self.cons.n_pairs
         self.src = self.cons.owner[:p]

@@ -55,7 +55,7 @@ def swarm_to_dict(swarm: Swarm) -> dict:
 def swarm_from_dict(data: dict) -> Swarm:
     uavs = tuple(
         Uav(
-            id=int(u["id"]),
+            id=u["id"],   # as decoded: ``Swarm`` rejects any id that is not an integer
             true_pos=np.array(u["true_pos"], dtype=float),
             reported_pos=np.array(u["reported_pos"], dtype=float),
             ground_truth_malicious=bool(u.get("malicious", False)),
@@ -79,7 +79,8 @@ def measurements_to_dict(ms: MeasurementSet) -> dict:
 
 @_decoder
 def measurements_from_dict(data: dict) -> MeasurementSet:
-    entries = {(int(i), int(j)): float(r) for i, j, r in data["entries"]}
+    # Ids pass as decoded: ``MeasurementSet`` rejects any that is not an integer.
+    entries = {(i, j): float(r) for i, j, r in data["entries"]}
     return MeasurementSet(int(data["n"]), entries)
 
 

@@ -91,8 +91,12 @@ def initial_suspects(
 ) -> SuspectSets:
     """Both endpoints of every violating pair are suspected; the detectors
     later reduce the overreach."""
-    suspected: set[int] = set()
-    for (i, j) in violating_pairs(e_r, e_n, d):
-        suspected.update((i, j))
-    trusted = [k for k in range(e_n.n) if k not in suspected]
-    return SuspectSets(tuple(sorted(suspected)), tuple(trusted))
+    return partition(violation_counts(e_r, e_n, d))
+
+
+def partition(counts: dict[int, int]) -> SuspectSets:
+    """The initial partition read off per-UAV violation counts: an id is
+    suspected iff a violating pair touches it."""
+    # Lists, not generator-fed tuples: CPython resizes those, moving each from
+    # one per-size tuple free list to another, which grows the process.
+    return SuspectSets([k for k, c in counts.items() if c], [k for k, c in counts.items() if not c])

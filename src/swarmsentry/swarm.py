@@ -55,6 +55,11 @@ def _as_position(p) -> np.ndarray:
     return arr
 
 
+def _is_id(value) -> bool:
+    """Whether ``value`` can be a UAV id: an integer (numpy's too), not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def row_norms(d: np.ndarray) -> np.ndarray:
     """Norm of each row of a (k, 3) array, bit-equal to ``np.linalg.norm``
     of the row alone: each stacked 1x3 by 3x1 product goes to the same BLAS
@@ -77,8 +82,8 @@ class Swarm:
         if not (0 < self.comm_range < math.inf and 0 < self.cube_half_width < math.inf):
             raise InvalidParameterError("comm_range and cube_half_width must be positive and finite")
         ids = [u.id for u in self.uavs]
-        if ids != list(range(len(self.uavs))):
-            raise InvalidParameterError("UAV ids must be 0..N-1 in order")
+        if ids != list(range(len(self.uavs))) or not all(map(_is_id, ids)):
+            raise InvalidParameterError("UAV ids must be the integers 0..N-1 in order")
 
     @property
     def n(self) -> int:
@@ -125,6 +130,9 @@ class MeasurementSet:
 
     def __post_init__(self):
         for (i, j), r in self.entries.items():
+            # ``type(...) is int`` first: the common case, at a fraction of the ABC check's cost.
+            if not ((type(i) is int or _is_id(i)) and (type(j) is int or _is_id(j))):
+                raise InvalidParameterError(f"measurement ids must be integers, got ({i!r}, {j!r})")
             if i == j or not (0 <= i < self.n and 0 <= j < self.n):
                 raise InvalidParameterError(f"bad measurement pair ({i}, {j})")
             if not 0 < r < math.inf:

@@ -7,10 +7,6 @@ from .suspects import SuspectSets
 from .swarm import InvalidParameterError
 
 
-class NotFittedError(RuntimeError):
-    """A detector was asked for predictions before ``fit``."""
-
-
 def check_scenario(scenario: AttackedScenario) -> AttackedScenario:
     if not isinstance(scenario, AttackedScenario):
         raise InvalidParameterError(f"expected AttackedScenario, got {type(scenario).__name__}")
@@ -24,9 +20,3 @@ def check_partition(initial: SuspectSets, n: int) -> SuspectSets:
         raise InvalidParameterError("suspect partition must cover exactly the swarm ids")
     return initial
 
-
-def check_is_fitted(detector, attribute: str = "result_"):
-    if not hasattr(detector, attribute):
-        raise NotFittedError(
-            f"{type(detector).__name__} is not fitted yet; call fit() before predict()"
-        )

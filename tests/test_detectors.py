@@ -5,12 +5,8 @@ from dataclasses import replace
 import swarmsentry as ss
 from swarmsentry import sdp
 from swarmsentry.detectors import (
-    CdiDetector,
     DetectionContext,
     DetectorOptions,
-    EcdiDetector,
-    NlosDetector,
-    RandomDetector,
     cdi,
     detect,
     ecdi,
@@ -19,7 +15,6 @@ from swarmsentry.detectors import (
 )
 from swarmsentry.suspects import SuspectSets, build_reported_matrix, initial_suspects
 from swarmsentry.swarm import InvalidParameterError
-from swarmsentry.validation import NotFittedError
 
 from conftest import hand_swarm, honest_scenario, make_scenario
 
@@ -149,30 +144,24 @@ class TestAlgorithmInvariants:
         assert res.oracle_calls == 0
 
     def test_unknown_skip_mode_terminates(self, monkeypatch):
-        # With unknown-as-skip, a permanently unknown oracle leaves the
-        # suspect set untouched and the loop still terminates.
+        # An unknown verdict never exonerates: with an oracle that answers
+        # unknown to every check (or to every check but the trusted base's,
+        # so the neighborhood loop and the per-UAV refinement run), both
+        # detectors keep every suspect, flag it, and terminate.
         scen = make_scenario("distributed", 2, seed=1, n=20)
         initial = init_of(scen)
         assert initial.suspected  # scenario produces live suspects
-        monkeypatch.setattr(sdp.ScenarioOracle, "check", lambda self, sub_ids: sdp.UNKNOWN)
-        res = cdi(initial, scen, DetectorOptions(unknown_as_infeasible=False))
-        assert res.predicted_malicious == frozenset(initial.suspected)
-        assert "oracle-unknown" in res.flags
-
-
-class TestOptionValidation:
-    @pytest.mark.parametrize("bad,message", [
-        ({"eps": -1.0}, "need epsilon >= 0"),
-        ({"eps": np.nan}, "must be finite"),
-        ({"delta": 0.0}, "margin > 0"),
-        ({"window_sq": np.inf}, "must be finite"),
-    ])
-    def test_bad_sub_network_settings_rejected(self, bad, message):
-        scen = make_scenario("distributed", 2, seed=1, n=20)
-        initial = init_of(scen)
-        assert initial.suspected
-        with pytest.raises(InvalidParameterError, match=message):
-            cdi(initial, scen, DetectorOptions(**bad))
+        hood_max = max(len(ss.neighbor_set(scen.measurements, k)) for k in range(20))
+        for base_ok in (False, True):
+            trusted = set(initial.trusted) if base_ok else None
+            monkeypatch.setattr(sdp.ScenarioOracle, "check",
+                                lambda self, sub_ids: sdp.FEASIBLE if set(sub_ids) == trusted else sdp.UNKNOWN)
+            for algo in (cdi, ecdi):
+                res = algo(initial, scen)
+                assert res.predicted_malicious == frozenset(initial.suspected)
+                assert "oracle-unknown" in res.flags
+                assert ("trusted-set-infeasible" in res.flags) is not base_ok
+                assert res.oracle_calls <= call_bounds(len(initial.suspected), hood_max)
 
 
 class TestNodeSolveMemo:
@@ -343,34 +332,6 @@ class TestRandomBaseline:
 
 
 class TestEstimatorApi:
-    def test_params_roundtrip(self):
-        det = CdiDetector(eps=2e-5, paper_replication=True)
-        params = det.get_params()
-        assert params["eps"] == 2e-5 and params["paper_replication"] is True
-        det.set_params(eps=None)
-        assert det.get_params()["eps"] is None
-        with pytest.raises(ValueError):
-            det.set_params(bogus=1)
-
-    def test_fit_predict_matches_functional(self):
-        scen = make_scenario("distributed", 3, seed=7, n=20)
-        initial = init_of(scen)
-        labels = EcdiDetector().fit_predict(scen)
-        functional = ecdi(initial, scen)
-        assert labels.shape == (20,)
-        assert set(np.nonzero(labels)[0]) == set(functional.predicted_malicious)
-
-    def test_not_fitted_error(self):
-        with pytest.raises(NotFittedError):
-            CdiDetector().predict()
-
-    def test_baseline_detectors(self):
-        scen = make_scenario("distributed", 3, seed=7, n=20)
-        for det in (NlosDetector(n_malicious=3, seed=7), RandomDetector(n_malicious=3, seed=7)):
-            labels = det.fit_predict(scen)
-            assert labels.sum() <= 3
-            assert 0.0 <= det.score(scen) <= 1.0
-
     def test_detect_dispatches_by_name(self):
         scen = make_scenario("distributed", 3, seed=7, n=20)
         initial = init_of(scen)

@@ -9,7 +9,7 @@ agreement is measured relative to the data's scale.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from swarmsentry import conic
@@ -79,6 +79,8 @@ epsilons = st.floats(-8.0, -2.0).map(lambda e: 10.0**e)
 
 @given(pairs, epsilons)
 @settings(max_examples=300, deadline=None)
+# At this pair's threshold numpy's scalar and array squares round apart.
+@example(data=[(0.0, 0.13322961856046525, 0.10832195502033382)], eps=0.01)
 def test_closed_form_matches_bisection(data, eps):
     D = [d for d, _, _ in data]
     hi = [h for _, h, _ in data]

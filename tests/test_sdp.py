@@ -222,7 +222,7 @@ class TestCheckFeasibility:
         claim = float(np.sqrt(alpha_max + excess + (0.15) ** 2))
         ms = ss.MeasurementSet(2, {(0, 1): claim})
         scen = ss.AttackedScenario(swarm, ms)
-        problem = assemble([0, 1], scen, eps=eps)
+        problem = replace(assemble([0, 1], scen), epsilon=eps)
         res = check_feasibility(problem)
         assert res.status in (UNKNOWN, INFEASIBLE)
 
@@ -292,13 +292,6 @@ class TestOracleOptions:
     def test_tolerance_gap_must_be_open(self, tol_feas, tol_infeas):
         with pytest.raises(InvalidParameterError, match="tol_feas < tol_infeas"):
             OracleOptions(tol_feas=tol_feas, tol_infeas=tol_infeas)
-
-    def test_detector_never_runs_on_nan_tolerance(self):
-        # A NaN tolerance used to make every verdict unknown, silently.
-        scen = make_scenario("distributed", 2, seed=1, n=20)
-        initial = ss.initial_suspects(ss.build_reported_matrix(scen), scen.measurements, 0.3)
-        with pytest.raises(InvalidParameterError):
-            ss.cdi(initial, scen, ss.DetectorOptions(oracle=OracleOptions(tol_feas=np.nan)))
 
 
 class TestConicEngine:

@@ -127,11 +127,29 @@ class TestCli:
         prob_path.write_text(json.dumps(data))  # writes NaN / Infinity literals
         assert run_cli("oracle-check", str(prob_path)) == 2
 
+    @pytest.mark.parametrize("setting,value,message", [
+        ("epsilon", -1.0, "need epsilon >= 0"),
+        ("epsilon", float("nan"), "must be finite"),
+        ("strictness_margin", 0.0, "margin > 0"),
+        ("window_sq", float("inf"), "must be finite"),
+    ], ids=["epsilon-negative", "epsilon-nan", "margin-zero", "window-inf"])
+    def test_oracle_check_rejects_bad_settings(self, tmp_path, capsys, setting, value, message):
+        # A problem file carries its own budget, margin and window; the
+        # oracle never runs on a bad one.
+        data = serialize.problem_to_dict(assemble(range(6), make_scenario("distributed", 1, seed=2, n=6)))
+        data[setting] = value
+        prob_path = tmp_path / "problem.json"
+        prob_path.write_text(json.dumps(data))
+        assert run_cli("oracle-check", str(prob_path)) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("spoil", [
         lambda d: d.pop("swarm"),
         lambda d: d["measurements"].pop("n"),
         lambda d: d["swarm"].update(uavs="none"),
         lambda d: d["measurements"].update(entries=[[0, 1]]),
+        lambda d: d["measurements"]["entries"][0].__setitem__(0, 0.5),
+        lambda d: d["swarm"]["uavs"][1].update(id="1"),
     ])
     def test_detect_rejects_malformed_scenario(self, tmp_path, spoil):
         data = serialize.scenario_to_dict(make_scenario("distributed", 1, seed=2, n=6))

@@ -228,3 +228,9 @@ class TestMeasurementValidation:
     def test_numpy_int_keys_accepted(self):
         entries = {(np.int64(0), np.int64(1)): 0.2, (np.int32(2), np.int32(0)): np.float64(0.1)}
         assert ss.MeasurementSet(3, entries).entries is entries
+
+    @pytest.mark.parametrize("pair", [(0.5, 1), (1, 2.0), ("1", 0), (True, 2), (np.float64(1.0), 0)],
+                             ids=["fraction", "integral-float", "string", "bool", "numpy-float"])
+    def test_non_integer_ids_rejected(self, pair):
+        with pytest.raises(InvalidParameterError, match="measurement ids must be integers"):
+            ss.MeasurementSet(3, {(0, 1): 0.2, pair: 0.1})

@@ -135,7 +135,17 @@ def test_oracle_check_golden(tmp_path):
 @pytest.mark.parametrize("rows", [
     [[0, 1]], [[0, 1, 0.2], [1, 0]], [[0, 1, 0.2, 3]], [5], [[0, None, 0.2]], [[0, "x", 0.2]],
     [[0, 1, None]], [[0, 1.0e300, 0.2]], [[0, float("inf"), 0.2]], [[0, float("nan"), 0.2]],
+    [["3", 2, 0.25]], [[3, 2.7, 0.25]], [[0.5, 1, 0.2]], [[1.0, 2, 0.2]], [[True, 2, 0.2]],
 ])
 def test_malformed_measurements_rejected(rows):
     with pytest.raises(ss.InvalidParameterError):
         serialize.measurements_from_dict({"n": 4, "entries": rows})
+
+
+@pytest.mark.parametrize("index, bad_id", [(1, "1"), (1, 1.0), (0, 0.0), (1, True)],
+                         ids=["string", "float", "zero-float", "bool"])
+def test_swarm_ids_must_be_json_integers(index, bad_id):
+    data = serialize.swarm_to_dict(ss.generate_swarm(3, 0.5, 0.3, seed=1))
+    data["uavs"][index]["id"] = bad_id
+    with pytest.raises(ss.InvalidParameterError, match="UAV ids must be the integers"):
+        serialize.swarm_from_dict(data)
