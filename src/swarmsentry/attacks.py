@@ -31,6 +31,7 @@ from .swarm import (
     InvalidParameterError,
     MeasurementSet,
     Swarm,
+    _is_id,
     neighbor_set,
     row_norms,
 )
@@ -61,6 +62,9 @@ class AttackPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "malicious_ids", frozenset(self.malicious_ids))
+        ids = [*self.malicious_ids, *(self.distributed_ids or ()), *(self.collusion_ids or ())]
+        if not all(map(_is_id, ids + ([] if self.target is None else [self.target]))):
+            raise InvalidParameterError("attacker, subset and target ids must be integers")
         if self.kind not in ATTACK_KINDS:
             raise InvalidParameterError(f"unknown attack kind {self.kind!r}")
         if self.kind in (COLLUSION, MIXED):

@@ -30,11 +30,14 @@ core, which ``sdp.check_feasibility`` (one assembled sub-network) and
   node's closed-form Lagrange dual, are a lower bound.  The solve stops at
   the first point that certifies its verdict, and the loop at the first
   node proven infeasible.  ``sdp.ScenarioOracle``, which meets each node
-  again under other anchor sets, gives the loop a second certificate
-  first: a node whose report misses the tolerance is evaluated exactly at
-  its kept point (its last solved point within ``tol_feas``), and enters
-  the witness there when that point is within ``tol_feas``, so only nodes
-  that miss both are solved;
+  again under other anchor sets, evaluates every report once against all
+  of its node's anchors (``evaluate_witness`` over the whole scenario): a
+  node's report slack only falls as anchors leave, so a report within zero
+  there settles its node in every sub-network.  It gives the loop a second
+  certificate first: a node whose report misses the tolerance is evaluated
+  exactly at its kept point (its last solved point within ``tol_feas``),
+  and enters the witness there when that point is within ``tol_feas``, so
+  only nodes that miss both are solved;
 * ``sdp.verdict`` turns the two bounds into a status.
 
 Only ``sdp.check_feasibility``, which returns positions, then pulls each

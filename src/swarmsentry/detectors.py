@@ -191,17 +191,20 @@ def _trusted_base_ok(run: _Run) -> bool:
     return ok
 
 
-def _singleton_sweep(run: _Run) -> bool:
-    """Assess every remaining suspect alone against the trusted set.
+def _clear_singletons(run: _Run, ids, blockers: dict[int, set[int]]) -> bool:
+    """Assess each of ``ids`` alone against the trusted set, and exonerate
+    those that localize.
 
     Lightly-implicated ids go first: each exoneration enlarges the trusted
     base that the heavily-implicated ids (attackers, if anyone) must then
-    reconcile with.
+    reconcile with.  Unvouched ids are never cleared, and an id is deferred
+    while one of its ``blockers`` is still suspected: its check would not
+    see that accuser's claims and could clear it on incomplete evidence.
     """
     ctx = run.context
     changed = False
-    for k in sorted(run.suspected, key=lambda v: (ctx.evidence.get(v, 0), v)):
-        if k in ctx.unvouched or (ctx.conflicting_accusers[k] & run.suspected) - {k}:
+    for k in sorted(set(ids) - ctx.unvouched, key=lambda v: (ctx.evidence.get(v, 0), v)):
+        if (blockers[k] & run.suspected) - {k}:
             continue
         run.iterations += 1
         if run.check(run.trusted | {k}, assessed=k) == sdp.FEASIBLE:
@@ -270,7 +273,7 @@ def _iterate(
         # else keep the whole suspect set.
         if run.trusted:
             run.passes = 1
-            _singleton_sweep(run)
+            _clear_singletons(run, run.suspected, ctx.conflicting_accusers)
         return run.result()
 
     max_passes = 2 * len(run.suspected) + 3
@@ -295,20 +298,8 @@ def _iterate(
                     changed = True
             elif refine:
                 # Per-UAV refinement of the failed neighborhood.  An id still
-                # accused by another suspect is deferred: its singleton check
-                # would not see the accuser's claims and could clear it on
-                # incomplete evidence.
-                members = sorted(
-                    ({k} | hood) & run.suspected - ctx.unvouched,
-                    key=lambda v: (ctx.evidence.get(v, 0), v),
-                )
-                for member in members:
-                    if (ctx.accusers[member] & run.suspected) - {member}:
-                        continue
-                    run.iterations += 1
-                    if run.check(run.trusted | {member}, assessed=member) == sdp.FEASIBLE:
-                        run.exonerate({member})
-                        changed = True
+                # accused by another suspect is deferred.
+                changed |= _clear_singletons(run, ({k} | hood) & run.suspected, ctx.accusers)
         if changed:
             continue
         if refine and run.suspected:
@@ -317,7 +308,7 @@ def _iterate(
             # sweep, least-implicated first, resolves them against the
             # now-maximal trusted base.
             run.passes += 1
-            if _singleton_sweep(run):
+            if _clear_singletons(run, run.suspected, ctx.conflicting_accusers):
                 continue
         break
     return run.result()

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import conic
 from .attacks import AttackedScenario
-from .swarm import InvalidParameterError
+from .swarm import InvalidParameterError, _is_id
 
 if TYPE_CHECKING:
     from .detectors import DetectorOptions
@@ -72,6 +72,8 @@ class FeasibilityProblem:
     def __post_init__(self):
         if not self.node_order:
             raise InvalidParameterError("sub-network must be nonempty")
+        if not all(map(_is_id, [*self.node_order, *(x for t in self.constraint_pairs for x in t[:2])])):
+            raise InvalidParameterError("node ids must be integers")
         if not all(math.isfinite(x) for x in (self.comm_range, self.epsilon, self.strictness_margin, self.window_sq)):
             raise InvalidParameterError("range, epsilon, margin and window must be finite")
         if self.epsilon < 0 or self.strictness_margin <= 0 or self.comm_range <= 0:
@@ -280,10 +282,12 @@ class ScenarioOracle:
     * the pairwise bound is ``conic.PairThresholds.bound`` over the pairs in
       the sub-network, from thresholds computed once for every directed pair
       of the scenario;
-    * a node's verdict depends only on which of its measured counterparts are
-      in the sub-network.  It is kept per (node, counterparts present).
-      Between calls only nodes whose counterparts changed are looked up
-      again, whichever run made the previous call;
+    * a UAV whose report fits all of its anchors (slack <= 0) is
+      ``settled``: it fits every sub-network, adds its all-anchor slack to
+      the upper bound and nothing to the lower one;
+    * any other node's verdict depends only on which of its measured
+      counterparts are in the sub-network.  It is kept per (node,
+      counterparts present), and looked up on every check;
     * an uncached node is settled by the first of three certificates: the
       exact slack of its own report, then the exact slack of its kept point
       (the last node solve of it that ended within ``tol_feas``, whatever
@@ -295,8 +299,11 @@ class ScenarioOracle:
     valid lower bound of it reaches ``tol_infeas``: it settles the node as
     its solve would, unless that solve would have stalled.  A node not yet
     decided counts as unbounded above; the order in which nodes are decided
-    does not change the status.  ``node_solves``, ``carried`` (nodes
-    settled by a kept point) and ``cache_hits`` count the work done so far.
+    does not change the status.  A check keeps nothing but verdicts, kept
+    points and counters, so its status does not depend on earlier checks.
+    ``node_solves``, ``carried`` (nodes settled by a kept point) and
+    ``cache_hits`` (verdict lookups of nodes that are not settled) count
+    the work done so far.
     """
 
     def __init__(self, scenario: AttackedScenario, options: DetectorOptions):
@@ -311,40 +318,29 @@ class ScenarioOracle:
         p = self.cons.n_pairs
         self.src = self.cons.owner[:p]
         self.dst = np.array([j for (_i, j, _r) in pairs], dtype=int)
-        # Node i's pair rows are first_row[i] up to first_row[i + 1].
+        # Node i's pair rows are first_row[i] up to first_row[i + 1], and
+        # ``counterparts[i]`` their counterparts, padded with n (no UAV).
         self.first_row = np.searchsorted(self.src, np.arange(self.n + 1))
+        self.counterparts = np.full((self.n, max(np.diff(self.first_row).max(), 1)), self.n)
+        self.counterparts[self.src, np.arange(p) - self.first_row[self.src]] = self.dst
         self.pairs = conic.PairThresholds.of(self.cons)
+        # A node's report slack is a min over its Gram surplus of a max over
+        # its anchor rows, so it can only fall as anchors leave the family:
+        # a report that fits all of its anchors fits any subset of them.
+        self.report_slack = conic.evaluate_witness(self.cons, self.cons.positions).node_slack
+        self.settled = self.report_slack <= 0
         self.verdicts: dict[tuple[int, bytes], tuple[float, float]] = {}
-        # Per-node verdicts for the pair rows marked in ``active``; a node
-        # is ``current`` while its rows there have not changed.
-        self.active = np.zeros(p, dtype=bool)
-        self.current = np.zeros(self.n, dtype=bool)
-        self.upper = np.zeros(self.n)
-        self.lower = np.zeros(self.n)
         # Each node's last solved point within tol_feas (NaN before one).
         self.kept = np.full((self.n, 3), np.nan)
-        self._node_solves = self._carried = self._cache_hits = 0
-
-    @property
-    def node_solves(self) -> int:
-        return self._node_solves
-
-    @property
-    def carried(self) -> int:
-        return self._carried
-
-    @property
-    def cache_hits(self) -> int:
-        return self._cache_hits
+        self.node_solves = self.carried = self.cache_hits = 0
 
     def check(self, sub_ids) -> str:
         """Status of the sub-network ``sub_ids`` (an iterable of UAV ids)."""
         member, active = self._select(sub_ids)
         upper, lower = np.inf, self.pairs.bound(active)
         if lower < self.opts.tol_infeas:
-            self.current[self.src[active != self.active]] = False
-            self.active = active
-            upper, node_lower = self._node_bounds(np.flatnonzero(member))
+            upper, node_lower = self._node_bounds(np.flatnonzero(member & ~self.settled), member)
+            upper = max(upper, np.max(self.report_slack[member & self.settled], initial=-np.inf))
             lower = max(lower, node_lower)
         return verdict(upper, lower, self.opts)
 
@@ -359,33 +355,29 @@ class ScenarioOracle:
         member[_uav_ids(sub_ids, self.n)] = True
         return member, member[self.src] & member[self.dst]
 
-    def _node_bounds(self, members: np.ndarray) -> tuple[float, float]:
-        """Largest upper and lower node bounds over ``members``.  Cached
-        verdicts come first; uncached nodes are decided only when none of
-        those proves infeasibility."""
-        misses = []
-        for i in members[~self.current[members]]:
-            first = self.first_row[i]
-            present = self.active[first:self.first_row[i + 1]]
-            key = (int(i), present.tobytes())
-            hit = self.verdicts.get(key)
-            if hit is None:
-                misses.append((i, first + np.flatnonzero(present), key))
-            else:
-                self.upper[i], self.lower[i] = hit
-                self.current[i] = True
-                self._cache_hits += 1
-        decided = members[self.current[members]]
-        if misses and not np.any(self.lower[decided] >= self.opts.tol_infeas):
-            self._decide(misses)
-            decided = members[self.current[members]]
-        upper = np.max(self.upper[members]) if len(decided) == len(members) else np.inf
-        return upper, np.max(self.lower[decided])
+    def _node_bounds(self, members: np.ndarray, member: np.ndarray) -> tuple[float, float]:
+        """Largest upper and lower node bounds over ``members``, in the
+        sub-network of member mask ``member``.  Cached verdicts come first;
+        uncached nodes are decided only when none of those proves
+        infeasibility."""
+        # A member's pair row is present iff its counterpart is a member.
+        present = np.append(member, False)[self.counterparts[members]]
+        keys = list(zip(members.tolist(), present.view(np.dtype((np.void, present.shape[1]))).ravel().tolist()))
+        hits = [self.verdicts.get(key) for key in keys]
+        bounds = [hit for hit in hits if hit is not None]
+        self.cache_hits += len(bounds)
+        if len(bounds) < len(keys) and max([lower for _upper, lower in bounds], default=-np.inf) < self.opts.tol_infeas:
+            bounds += self._decide([(i, self.first_row[i] + np.flatnonzero(present[k]), (i, bits))
+                                    for k, ((i, bits), hit) in enumerate(zip(keys, hits)) if hit is None])
+        lower = max([lower for _upper, lower in bounds], default=-np.inf)
+        if len(bounds) < len(members):
+            return np.inf, lower
+        return max([upper for upper, _lower in bounds], default=-np.inf), lower
 
-    def _decide(self, misses: list) -> None:
+    def _decide(self, misses: list) -> list[tuple[float, float]]:
         """Settle the uncached nodes by their reports, then by their kept
-        points, then by the node loop, and keep the verdict of each node
-        settled."""
+        points, then by the node loop, and keep and return the verdict of
+        each node settled."""
         ids = [i for i, _rows, _key in misses]
         rows = np.concatenate([r for _i, r, _key in misses] + [self.cons.n_pairs + np.array(ids)])
         family = self.cons.family(ids, rows)
@@ -399,13 +391,14 @@ class ScenarioOracle:
             at_kept = conic.evaluate_witness(family, np.where(retry[:, None], kept, family.positions))
             for k in np.flatnonzero(retry & (at_kept.node_slack <= tol)).tolist():
                 witness.put(k, at_kept.entry(k))
-                self._carried += 1
+                self.carried += 1
         solved = conic.refine_witness(family, witness, tol, self.opts.tol_infeas)
-        self._node_solves += len(solved)
+        self.node_solves += len(solved)
+        decided = []
         for k, (i, _rows, key) in enumerate(misses):
             if k in solved or witness.node_slack[k] <= tol:
                 self.verdicts[key] = (float(witness.node_slack[k]), solved.get(k, -np.inf))
-                self.upper[i], self.lower[i] = self.verdicts[key]
-                self.current[i] = True
+                decided.append(self.verdicts[key])
                 if k in solved and witness.node_slack[k] <= tol:
                     self.kept[i] = witness.X[k]
+        return decided

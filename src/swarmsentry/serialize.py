@@ -123,11 +123,10 @@ def scenario_to_dict(scenario: AttackedScenario) -> dict:
 
 @_decoder
 def scenario_from_dict(data: dict) -> AttackedScenario:
-    return AttackedScenario(
-        swarm=swarm_from_dict(data["swarm"]),
-        measurements=measurements_from_dict(data["measurements"]),
-        plan=plan_from_dict(data.get("plan")),
-    )
+    swarm, plan = swarm_from_dict(data["swarm"]), plan_from_dict(data.get("plan"))
+    if plan is not None and plan.malicious_ids != swarm.malicious_ids():
+        raise InvalidParameterError("the plan's malicious_ids differ from the swarm's malicious flags")
+    return AttackedScenario(swarm=swarm, measurements=measurements_from_dict(data["measurements"]), plan=plan)
 
 
 def suspects_to_dict(sets: SuspectSets) -> dict:
@@ -149,9 +148,10 @@ def problem_to_dict(problem: FeasibilityProblem) -> dict:
 @_decoder
 def problem_from_dict(data: dict) -> FeasibilityProblem:
     return FeasibilityProblem(
-        node_order=tuple(int(i) for i in data["node_order"]),
+        # Ids pass as decoded: ``FeasibilityProblem`` rejects any that is not an integer.
+        node_order=tuple(data["node_order"]),
         reported_positions={int(k): np.array(v, dtype=float) for k, v in data["reported_positions"].items()},
-        constraint_pairs=tuple((int(i), int(j), float(r)) for i, j, r in data["constraint_pairs"]),
+        constraint_pairs=tuple((i, j, float(r)) for i, j, r in data["constraint_pairs"]),
         comm_range=float(data["comm_range"]),
         epsilon=float(data["epsilon"]),
         strictness_margin=float(data["strictness_margin"]),

@@ -61,14 +61,16 @@ def node_family(oracle, i: int, present: np.ndarray) -> conic.CompiledConstraint
 def checked_against_fresh(oracle: sdp.ScenarioOracle, scen, sub) -> str:
     """``oracle.check(sub)``, asserting that a fresh oracle gives the same
     status, that the work counters count this call's solves and kept-point
-    settlements, and that every verdict a kept point settled is that
-    point's exact slack on the node's family, within tol_feas."""
+    settlements, that no verdict is kept for a settled UAV, and that every
+    verdict a kept point settled is that point's exact slack on the node's
+    family, within tol_feas."""
     tol = oracle.opts.tol_feas
     seen, carried, solves = set(oracle.verdicts), oracle.carried, oracle.node_solves
     with counted_node_solves() as solved:
         status = sdp.ScenarioOracle.check(oracle, sub)
     assert status == sdp.ScenarioOracle(scen, DetectorOptions()).check(sub)
     assert oracle.node_solves - solves == len(solved)
+    assert not any(oracle.settled[i] for i, _present in oracle.verdicts)
     solved_anchors = {family.anchor.tobytes() for family in solved}
     settled_by_kept = 0
     for key in oracle.verdicts.keys() - seen:
@@ -140,6 +142,21 @@ class TestScenarioOracle:
             if k == 0:
                 assert len(scenario) == len(direct)
             assert oracle.pairwise_bound(sub) == conic.pairwise_slack_bound(problem.compiled())
+
+    @SETTINGS
+    @given(scen=scenarios(), data=st.data())
+    def test_settled_nodes_fit_every_sub_network(self, scen, data):
+        # A UAV whose report fits all of its anchors is settled once per
+        # scenario: its report must fit the family of every sub-network
+        # that holds it, as the assembled problem compiles that family,
+        # the whole swarm (all of its anchors) included.
+        oracle = sdp.ScenarioOracle(scen, DetectorOptions())
+        for sub in [range(scen.n)] + [sub_network(data, scen) for _ in range(6)]:
+            problem = sdp.assemble(sub, scen)
+            cons = problem.compiled()
+            slack = conic.evaluate_witness(cons, cons.positions.copy()).node_slack
+            settled = oracle.settled[list(problem.node_order)]
+            assert np.all(slack[settled] <= oracle.opts.tol_feas)
 
     @SETTINGS
     @given(scen=scenarios(), data=st.data())

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from swarmsentry.cli import main
 from swarmsentry.sdp import assemble, check_feasibility
 
 from conftest import make_scenario
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestRoundTrips:
@@ -154,6 +157,38 @@ class TestCli:
     def test_detect_rejects_malformed_scenario(self, tmp_path, spoil):
         data = serialize.scenario_to_dict(make_scenario("distributed", 1, seed=2, n=6))
         spoil(data)
+        scen_path = tmp_path / "scenario.json"
+        scen_path.write_text(json.dumps(data))
+        assert run_cli("detect", str(scen_path)) == 2
+
+    @pytest.mark.parametrize("spoil", [
+        lambda d: d["node_order"].__setitem__(0, 0.5),
+        lambda d: d["node_order"].__setitem__(1, 1.0),
+        lambda d: d["node_order"].__setitem__(1, True),
+        lambda d: d["constraint_pairs"][0].__setitem__(0, 1.0),
+        lambda d: d["constraint_pairs"][0].__setitem__(1, "2"),
+    ])
+    def test_oracle_check_rejects_non_integer_ids(self, tmp_path, spoil):
+        # ``int()`` would turn 0.5 into 0 and decide another sub-network.
+        data = serialize.load_path(str(DATA / "problem_n30_distributed.json"))
+        spoil(data)
+        prob_path = tmp_path / "problem.json"
+        prob_path.write_text(json.dumps(data))
+        assert run_cli("oracle-check", str(prob_path)) == 2
+
+    @pytest.mark.parametrize("kind,spoil", [
+        ("collusion", lambda p: p.update(malicious_ids=[str(i) for i in p["malicious_ids"]])),
+        ("collusion", lambda p: p.update(malicious_ids=[float(i) for i in p["malicious_ids"]])),
+        ("collusion", lambda p: p.update(target=str(p["target"]))),
+        ("mixed", lambda p: p.update(collusion_ids=[str(i) for i in p["collusion_ids"]])),
+        ("distributed", lambda p: p.update(malicious_ids=p["malicious_ids"][1:])),
+        ("distributed", lambda p: p.update(malicious_ids=p["malicious_ids"] + [1])),
+    ])
+    def test_detect_rejects_plan_that_misses_the_swarm(self, tmp_path, kind, spoil):
+        # The plan's ids must be integers and name exactly the UAVs the
+        # swarm flags malicious, which ``scenario.truth()`` reads.
+        data = serialize.load_path(str(DATA / f"scenario_n30_{kind}.json"))
+        spoil(data["plan"])
         scen_path = tmp_path / "scenario.json"
         scen_path.write_text(json.dumps(data))
         assert run_cli("detect", str(scen_path)) == 2
