@@ -24,20 +24,22 @@ core, which ``sdp.check_feasibility`` (one assembled sub-network) and
   solve;
 * the node loop, ``refine_witness``, starts from each node's own report
   with its best Gram surplus, and gives every node that misses the
-  tolerance, worst first, one deterministic log-barrier Newton solve on its
-  five variables (``solve_node``).  Its primal point, evaluated exactly, is
-  an upper bound; its normalized central-path multipliers, fed to the
-  node's closed-form Lagrange dual, are a lower bound.  The solve stops at
-  the first point that certifies its verdict, and the loop at the first
-  node proven infeasible.  ``sdp.ScenarioOracle``, which meets each node
-  again under other anchor sets, evaluates every report once against all
-  of its node's anchors (``evaluate_witness`` over the whole scenario): a
-  node's report slack only falls as anchors leave, so a report within zero
-  there settles its node in every sub-network.  It gives the loop a second
-  certificate first: a node whose report misses the tolerance is evaluated
-  exactly at its kept point (its last solved point within ``tol_feas``),
-  and enters the witness there when that point is within ``tol_feas``, so
-  only nodes that miss both are solved;
+  tolerance, worst first, one deterministic primal-dual interior-point
+  solve on its five variables (``solve_node``, Mehrotra predictor-corrector
+  steps).  Each iterate's position, evaluated exactly, is an upper bound;
+  its normalized multipliers, fed to the node's closed-form Lagrange dual,
+  are a lower bound.  The solve stops at the first point that certifies
+  its verdict, and the loop at the first node proven infeasible.
+  ``sdp.ScenarioOracle``, which meets each node again under other anchor
+  sets, computes every row's violation at the reports once per scenario,
+  so a node's report slack in any sub-network comes from masked maxima
+  over its present rows (``masked_node_slack``); a report below the
+  tolerance by more than that slack's rounding margin settles its node
+  there without any other work.  It gives the loop a second certificate first:
+  a node whose report misses the tolerance is evaluated exactly at its
+  kept point (its last solved point within ``tol_feas``), and enters the
+  witness there when that point is within ``tol_feas``, so only nodes that
+  miss both are solved;
 * ``sdp.verdict`` turns the two bounds into a status.
 
 Only ``sdp.check_feasibility``, which returns positions, then pulls each
@@ -56,14 +58,12 @@ from functools import cached_property
 import numpy as np
 
 _CERTIFY_STEPS = 64
-# Each barrier stage shrinks the duality gap tenfold, from about the data
-# scale to about 1e-9 of it; later stages lose centering to rounding.
-_BARRIER_STAGES = 9
-_BARRIER_GROWTH = 10.0
-_NEWTON_STEPS = 50          # per stage; centering usually ends far sooner
-_NEWTON_DECREMENT = 1e-6
+# The node solve stops once its duality gap is 1e-9 of its start (about the
+# data scale); its certificates usually stop it within four to six steps.
+_STEP_BACK = 0.99
+_GAP_REDUCTION = 1e-9
+_MAX_STEPS = 50
 _RETRACT_STEPS = 20
-_EYE3 = np.eye(3)
 
 
 @dataclass
@@ -217,18 +217,25 @@ class PairThresholds:
             t_lo = np.where(disc >= 0, np.maximum(r_lo, 0.0) ** 2 - eps, -np.inf)
         return np.maximum(np.maximum(t_up, t_lo), (lo - hi) / 2.0)
 
+    @cached_property
+    def ranked(self) -> np.ndarray:
+        """The unmet pairs by descending ``tau``, ties by index."""
+        unmet = np.flatnonzero(self.unmet)
+        return unmet[np.argsort(-self.tau[unmet], kind="stable")]
+
     def bound(self, mask: np.ndarray | None = None) -> float:
         """Certified lower bound on the slack of the pairs in ``mask`` (all
-        pairs by default): the certified threshold of the first of them with
-        the largest ``tau``, or zero when each of them admits t = 0.
+        pairs by default): the certified threshold of the first of their
+        unmet pairs with the largest ``tau``, or zero when each of them
+        admits t = 0.
 
         Nonnegative by construction; zero is vacuous (no violation provable
         this way).  Certified thresholds are kept per pair.
         """
-        unmet = self.unmet if mask is None else self.unmet & mask
-        if not np.any(unmet):
+        ranked = self.ranked if mask is None else self.ranked[mask[self.ranked]]
+        if not ranked.size:
             return 0.0
-        worst = int(np.argmax(self.tau if mask is None else np.where(mask, self.tau, -np.inf)))
+        worst = int(ranked[0])
         if worst not in self._certified:
             self._certified[worst] = self._certify(worst)
         return self._certified[worst]
@@ -289,18 +296,39 @@ def _per_node_max(cons: CompiledConstraints, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def best_gram_surplus(cons: CompiledConstraints, X: np.ndarray) -> np.ndarray:
-    """Per-node Gram surplus minimizing the worst violation at positions X.
+def _surplus(upper_env: np.ndarray, lower_env: np.ndarray) -> np.ndarray:
+    """The Gram surplus minimizing a node's worst violation, from its largest
+    upper and lower violations at zero surplus.
 
     Violations are piecewise linear in the surplus s_i: upper ones (the
     node's own displacement bound among them) grow, lower ones shrink.  The
     minimizer of the max is the midpoint of the two envelopes when the lower
     one is higher, else zero.
     """
-    vals = cons.values_at(X)
-    upper_env = _per_node_max(cons, vals - cons.hi)
-    lower_env = _per_node_max(cons, cons.lo - vals)
     return np.where(lower_env > upper_env, (lower_env - upper_env) / 2.0, 0.0)
+
+
+def best_gram_surplus(cons: CompiledConstraints, vals: np.ndarray) -> np.ndarray:
+    """Per-node Gram surplus minimizing the worst violation at the
+    functional values ``vals`` (``cons.values_at`` of the positions)."""
+    return _surplus(_per_node_max(cons, vals - cons.hi), _per_node_max(cons, cons.lo - vals))
+
+
+def masked_node_slack(over: np.ndarray, under: np.ndarray, present: np.ndarray,
+                      starts: np.ndarray) -> np.ndarray:
+    """Each node's worst violation with its best Gram surplus applied, over
+    its present rows only.
+
+    ``over`` and ``under`` are per-row upper and lower violations at zero
+    surplus, grouped by node: node k's rows run from ``starts[k]`` to the
+    next start, and each node has a present row.  This is the node slack
+    ``evaluate_witness`` gives the family of the present rows, up to
+    rounding: the two differ by less than 32 ulps of 1.0 times the largest
+    magnitude among those rows' values and finite bounds.
+    """
+    upper_env = np.maximum.reduceat(np.where(present, over, -np.inf), starts)
+    lower_env = np.maximum.reduceat(np.where(present, under, -np.inf), starts)
+    return upper_env + _surplus(upper_env, lower_env)
 
 
 def complete_lift(X: np.ndarray, gram_surplus: np.ndarray | None = None) -> np.ndarray:
@@ -341,8 +369,9 @@ class WitnessResult:
 
 
 def evaluate_witness(cons: CompiledConstraints, X: np.ndarray) -> WitnessResult:
-    s = best_gram_surplus(cons, X)
-    vals = cons.values_at(X, s)
+    vals = cons.values_at(X)
+    s = best_gram_surplus(cons, vals)
+    vals = vals + s[cons.owner]
     violation = np.maximum(vals - cons.hi, cons.lo - vals)
     return WitnessResult(X=X, s=s, node_slack=_per_node_max(cons, violation))
 
@@ -351,71 +380,111 @@ def evaluate_witness(cons: CompiledConstraints, X: np.ndarray) -> WitnessResult:
 # The exact per-node solve
 # ---------------------------------------------------------------------------
 
-class NodeBarrier:
-    """Log-barrier Newton state for one node's program (``cons.n == 1``).
+class NodeSolver:
+    """Primal-dual interior-point state for one node's program (``cons.n == 1``).
 
     Variables v = (u, z, t), with u = x - report and z = ||u||^2 + s:
     minimize t subject to every functional within t of its bounds (linear
-    residuals r = c + G v > 0) and z > ||u||^2.
+    residuals c + G v >= 0) and z >= ||u||^2 (cone residual z - ||u||^2).
+    ``s`` holds the linear residuals and then the cone residual, ``y`` their
+    multipliers, so y s is the complementarity of every constraint and
+    y . s the surrogate duality gap.
     """
 
     def __init__(self, cons: CompiledConstraints):
         self.cons = cons
         d = cons.positions[0] - cons.anchor
         dd = (d * d).sum(axis=1)
-        self.has_lo = np.isfinite(cons.lo)
-        ones = np.ones(cons.q)
-        self.G = np.vstack([
-            np.column_stack([-2.0 * d, -ones, ones]),
-            np.column_stack([2.0 * d, ones, ones])[self.has_lo],
-        ])
-        self.c = np.concatenate([cons.hi - dd, (dd - cons.lo)[self.has_lo]])
-        # Start at the report with every residual at least the data's own scale.
-        scale = float(np.max(np.abs(self.c))) + cons.epsilon + 1e-12
-        self.v = np.array([0.0, 0.0, 0.0, scale, 0.0])
-        self.v[4] = scale - float(np.min(self.residuals()))
-        self.tau = float(np.sum(1.0 / self.residuals()))  # zeroes the t-gradient at the start
+        self.has_lo = has_lo = np.isfinite(cons.lo)
+        k = cons.q
+        m = k + int(np.count_nonzero(has_lo))
+        # Rows: upper bounds, lower bounds, then the cone residual's
+        # gradient (-2u, 1, 0), which ``iterate`` keeps current.
+        self.G = G = np.zeros((m + 1, 5))
+        G[:k, :3] = -2.0 * d
+        G[k:m, :3] = 2.0 * d[has_lo]
+        G[:k, 3] = -1.0
+        G[k:, 3] = 1.0
+        G[:m, 4] = 1.0
+        self.c = np.concatenate([cons.hi - dd, (dd - cons.lo)[has_lo]])
+        # Start at the report with every residual at least the data's own
+        # scale, on the central path of the weight that zeroes the
+        # t-gradient there, so the linear multipliers sum to one.
+        scale = float(np.abs(self.c).max()) + cons.epsilon + 1e-12
+        self.v = np.array([0.0, 0.0, 0.0, scale, scale - float((self.c + G[:m, 3] * scale).min())])
+        self.s = self.residuals(self.v)
+        self.y = 1.0 / self.s
+        self.y /= self.y[:-1].sum()
+        self.start_gap = self.gap()
 
-    def residuals(self) -> np.ndarray:
-        return self.c + self.G @ self.v
+    def residuals(self, v: np.ndarray) -> np.ndarray:
+        """The linear residuals and the cone residual at ``v``."""
+        s = np.empty(len(self.G))
+        np.matmul(self.G[:-1], v, out=s[:-1])
+        s[:-1] += self.c
+        s[-1] = v[3] - v[:3] @ v[:3]
+        return s
+
+    def gap(self) -> float:
+        return float(self.y @ self.s)
 
     def iterate(self, steps: int) -> bool:
-        """Center at the current barrier weight with at most ``steps`` damped
-        Newton steps on tau t - sum(log r) - log(z - ||u||^2).
+        """At most ``steps`` predictor-corrector steps (Mehrotra).
 
-        The step length 1 / (1 + decrement) never leaves the barrier's domain
-        in exact arithmetic.  Returns False when rounding broke the stage (a
+        Each step solves the Newton system of the KKT conditions twice with
+        one factorization: once aimed at zero complementarity, then aimed
+        at the centering target (sigma times the mean complementarity, with
+        sigma the cube of the gap ratio the first direction reaches)
+        corrected by the first direction's second-order terms, the cone's
+        curvature among them.  The step keeps every residual and multiplier
+        strictly positive.  Returns False when rounding broke a step (a
         singular Newton system or a point outside the domain); bounds taken
-        after earlier stages still hold.
+        at earlier points still hold.
         """
-        G, v = self.G, self.v
-        cone_grad = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+        G = self.G
+        v, y, s = self.v, self.y, self.s
         for _ in range(steps):
-            r = self.c + G @ v
-            u = v[:3]
-            cone = v[3] - u @ u
-            np.multiply(u, -2.0, out=cone_grad[:3])
-            Gs = G / r[:, None]
-            grad = -Gs.sum(axis=0) - cone_grad / cone
-            grad[4] += self.tau
-            H = Gs.T @ Gs + cone_grad[:, None] * cone_grad[None, :] / cone**2
-            H[:3, :3] += _EYE3 * (2.0 / cone)
+            np.multiply(v[:3], -2.0, out=G[-1, :3])
+            weight = y / s
+            H = (G.T * weight) @ G
+            cone_curvature = 2.0 * float(y[-1])
+            H[0, 0] += cone_curvature
+            H[1, 1] += cone_curvature
+            H[2, 2] += cone_curvature
             try:
-                step = -np.linalg.solve(H, grad)
+                inv = np.linalg.inv(H)
             except np.linalg.LinAlgError:
                 return False
-            decrement = math.sqrt(max(-grad @ step, 0.0))
-            v = v + step / (1.0 + decrement)
-            if decrement < _NEWTON_DECREMENT:
-                break
-        self.v = v
-        return bool(np.all(self.residuals() > 0) and v[3] > v[:3] @ v[:3])
+            # Predictor: the right-hand side is minus the objective's gradient.
+            dv = -inv[:, 4]
+            ds = G @ dv
+            dy = -y - weight * ds
+            curve = float(dv[:3] @ dv[:3])
+            step = _step_length(y, dy, s, ds, curve)
+            y_step, s_step = y + step * dy, s + step * ds
+            reached = float(y_step @ s_step) - float(y_step[-1]) * step * step * curve
+            gap = float(y @ s)
+            target = (reached / gap) ** 3 * gap / len(s) - dy * ds
+            target[-1] += float(y[-1] + dy[-1]) * curve
+            # Corrector.
+            rhs = G.T @ (target / s)
+            rhs[4] -= 1.0
+            dv = inv @ rhs
+            ds = G @ dv
+            dy = target / s - y - weight * ds
+            step = _STEP_BACK * _step_length(y, dy, s, ds, float(dv[:3] @ dv[:3]))
+            v = v + step * dv
+            y = y + step * dy
+            s = self.residuals(v)
+            if not (s.min() > 0 and y.min() > 0):
+                return False
+            self.v, self.y, self.s = v, y, s
+        return True
 
     def dual_bound(self) -> float:
-        """Closed-form dual bound at the normalized central-path multipliers 1 / (tau r)."""
+        """Closed-form dual bound at the normalized linear multipliers."""
         k = self.cons.q
-        weights = 1.0 / self.residuals()
-        weights /= weights.sum()
+        weights = self.y[:-1] / self.y[:-1].sum()
         w_lo = np.zeros(k)
         w_lo[self.has_lo] = weights[k:]
         return dual_slack_bound(self.cons, weights[:k], w_lo)
@@ -424,40 +493,62 @@ class NodeBarrier:
         return self.cons.positions + self.v[:3]
 
 
-# bench/tracing.py times the barrier stages (and counts their Newton step
+def _step_length(y: np.ndarray, dy: np.ndarray, s: np.ndarray, ds: np.ndarray, curve: float) -> float:
+    """The largest step in (0, 1] along (dy, ds) that keeps the multipliers
+    ``y`` and the residuals ``s`` nonnegative, the cone residual ``s[-1]``
+    falling by ``curve`` times the step squared beside its linear change."""
+    # Ratios over positive entries: no division by zero.
+    fall = -min(float((dy / y).min()), float((ds / s).min()))
+    cone, slope = float(s[-1]), float(ds[-1])
+    root = math.sqrt(slope * slope + 4.0 * curve * cone)
+    # The cone's first zero, in the form free of cancellation for its sign.
+    if slope < 0:
+        fall = max(fall, (root - slope) / (2.0 * cone))
+    elif curve > 0:
+        fall = max(fall, 2.0 * curve / (slope + root))
+    return 1.0 / max(fall, 1.0)
+
+
+# bench/tracing.py times the node iterations (and counts their step
 # budgets) under the name of the consensus solver they replaced; drop this
-# alias once its stage list names NodeBarrier.
-ConsensusSolver = NodeBarrier
+# alias once its stage list names NodeSolver.
+ConsensusSolver = NodeSolver
 
 
 def solve_node(
-    cons: CompiledConstraints, tol_feas: float, tol_infeas: float
+    cons: CompiledConstraints, tol_feas: float, tol_infeas: float, iterations: list | None = None
 ) -> tuple[WitnessResult, float]:
     """Certified bounds on the optimal slack of a one-node family (``cons.n == 1``).
 
-    Runs the barrier stage by stage, growing its weight tenfold in between.
-    After each stage the position is evaluated exactly (upper bound) and the
-    multipliers go through the closed-form dual (lower bound).  Stops once
-    the upper bound proves the node feasible, the lower bound proves it
-    infeasible, or both lie inside the tolerance gap: the witness is the
-    barrier point that certified the verdict, wherever it lies within the
-    node's budget, unretracted.
+    Runs the primal-dual iteration one step at a time.  After each step the
+    position is evaluated exactly (upper bound) and, unless that proves the
+    node feasible, the normalized multipliers go through the closed-form
+    dual (lower bound).  Stops once the upper bound proves the node
+    feasible, the lower bound proves it infeasible, or both lie inside the
+    tolerance gap: the witness is the point that certified the verdict,
+    wherever it lies within the node's budget, unretracted.  Also stops,
+    with the bounds it has, once the duality gap is ``_GAP_REDUCTION`` of
+    its start, after ``_MAX_STEPS`` steps, or when rounding breaks a step.
+    ``iterations``, when given, receives the number of steps taken.
     """
-    barrier = NodeBarrier(cons)
+    node = NodeSolver(cons)
     best = evaluate_witness(cons, cons.positions.copy())
-    lower = -np.inf
-    for _ in range(_BARRIER_STAGES):
-        if not barrier.iterate(_NEWTON_STEPS):
+    upper, lower = best.slack, -np.inf
+    steps = 0
+    while steps < _MAX_STEPS and node.gap() > _GAP_REDUCTION * node.start_gap:
+        steps += 1
+        if not node.iterate(1):
             break
-        lower = max(lower, barrier.dual_bound())
-        cand = evaluate_witness(cons, barrier.position())
-        if cand.slack < best.slack:
-            best = cand
-        if best.slack <= tol_feas or lower >= tol_infeas or (
-            lower > tol_feas and best.slack < tol_infeas
-        ):
+        cand = evaluate_witness(cons, node.position())
+        if cand.slack < upper:
+            best, upper = cand, cand.slack
+        if upper <= tol_feas:
             break
-        barrier.tau *= _BARRIER_GROWTH
+        lower = max(lower, node.dual_bound())
+        if lower >= tol_infeas or (lower > tol_feas and upper < tol_infeas):
+            break
+    if iterations is not None:
+        iterations.append(steps)
     return best, lower
 
 
@@ -469,7 +560,7 @@ def retract(cons: CompiledConstraints, witness: WitnessResult, target: float) ->
     The node's exact slack is convex in its position, so the part of the
     segment where it stays <= target is an interval ending at the witness:
     bisect for its near end.  Without this, recovered positions sit
-    wherever the barrier stopped, up to the edge of the displacement budget.
+    wherever the node solve stopped, up to the edge of the displacement budget.
     """
     if witness.slack > target:
         return witness
@@ -487,18 +578,20 @@ def retract(cons: CompiledConstraints, witness: WitnessResult, target: float) ->
 
 
 def refine_witness(
-    cons: CompiledConstraints, witness: WitnessResult, tol_feas: float, tol_infeas: float
+    cons: CompiledConstraints, witness: WitnessResult, tol_feas: float, tol_infeas: float,
+    iterations: list | None = None,
 ) -> dict[int, float]:
     """The oracle's node loop: replace, worst first, every node entry of
     ``witness`` that misses ``tol_feas`` with its node solve (``solve_node``,
     unretracted), and return each solved node's lower bound by local index.
     The first node whose lower bound reaches ``tol_infeas`` ends the loop.
+    ``iterations``, when given, receives each solve's step count.
     """
     lowers: dict[int, float] = {}
     for i in np.argsort(-witness.node_slack, kind="stable").tolist():
         if witness.node_slack[i] <= tol_feas:
             break
-        found, lowers[i] = solve_node(cons.node(i), tol_feas, tol_infeas)
+        found, lowers[i] = solve_node(cons.node(i), tol_feas, tol_infeas, iterations)
         witness.put(i, found)
         if lowers[i] >= tol_infeas:
             break

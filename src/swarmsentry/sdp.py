@@ -282,17 +282,20 @@ class ScenarioOracle:
     * the pairwise bound is ``conic.PairThresholds.bound`` over the pairs in
       the sub-network, from thresholds computed once for every directed pair
       of the scenario;
-    * a UAV whose report fits all of its anchors (slack <= 0) is
-      ``settled``: it fits every sub-network, adds its all-anchor slack to
-      the upper bound and nothing to the lower one;
-    * any other node's verdict depends only on which of its measured
+    * each row's violation at the reports is computed once, so a member's
+      report slack over the rows present in the sub-network comes from
+      masked maxima of those violations (``conic.masked_node_slack``).  A
+      member whose report fits (that slack is below ``tol_feas`` by more
+      than its rounding margin, so the exact slack is within ``tol_feas``
+      too) adds that slack to the upper bound and nothing to the lower
+      one, with no other work;
+    * any other member's verdict depends only on which of its measured
       counterparts are in the sub-network.  It is kept per (node,
-      counterparts present), and looked up on every check;
-    * an uncached node is settled by the first of three certificates: the
-      exact slack of its own report, then the exact slack of its kept point
-      (the last node solve of it that ended within ``tol_feas``, whatever
-      its counterparts were then), each when within ``tol_feas`` and kept as
-      (that slack, -inf); the nodes that miss both go through
+      counterparts present);
+    * an uncached node is settled by its kept point (the last node solve of
+      it that ended within ``tol_feas``, whatever its counterparts were
+      then) when that point's exact slack is within ``tol_feas``, and kept
+      as (that slack, -inf); the nodes it does not settle go through
       ``conic.refine_witness`` together, and keep the bounds of their solve.
 
     A kept point within ``tol_feas`` proves the node's optimum is too, so no
@@ -301,9 +304,9 @@ class ScenarioOracle:
     decided counts as unbounded above; the order in which nodes are decided
     does not change the status.  A check keeps nothing but verdicts, kept
     points and counters, so its status does not depend on earlier checks.
-    ``node_solves``, ``carried`` (nodes settled by a kept point) and
-    ``cache_hits`` (verdict lookups of nodes that are not settled) count
-    the work done so far.
+    ``node_solves``, ``node_iterations`` (the steps of those solves),
+    ``carried`` (nodes settled by a kept point) and ``cache_hits`` (verdict
+    lookups of members whose report misses) count the work done so far.
     """
 
     def __init__(self, scenario: AttackedScenario, options: DetectorOptions):
@@ -312,72 +315,97 @@ class ScenarioOracle:
         self.n = scenario.n
         outgoing = scenario.measurements.outgoing
         pairs = [t for i in range(self.n) for t in outgoing.get(i, ())]
-        self.cons = conic.compile_constraints(
+        self.cons = cons = conic.compile_constraints(
             scenario.swarm.reported_positions(), pairs, d, *_settings(d, options.paper_replication)
         )
-        p = self.cons.n_pairs
-        self.src = self.cons.owner[:p]
+        p = cons.n_pairs
+        self.src = cons.owner[:p]
         self.dst = np.array([j for (_i, j, _r) in pairs], dtype=int)
-        # Node i's pair rows are first_row[i] up to first_row[i + 1], and
-        # ``counterparts[i]`` their counterparts, padded with n (no UAV).
+        # Node i's pair rows are first_row[i] up to first_row[i + 1].
         self.first_row = np.searchsorted(self.src, np.arange(self.n + 1))
-        self.counterparts = np.full((self.n, max(np.diff(self.first_row).max(), 1)), self.n)
-        self.counterparts[self.src, np.arange(p) - self.first_row[self.src]] = self.dst
-        self.pairs = conic.PairThresholds.of(self.cons)
-        # A node's report slack is a min over its Gram surplus of a max over
-        # its anchor rows, so it can only fall as anchors leave the family:
-        # a report that fits all of its anchors fits any subset of them.
-        self.report_slack = conic.evaluate_witness(self.cons, self.cons.positions).node_slack
-        self.settled = self.report_slack <= 0
+        self.pairs = conic.PairThresholds.of(cons)
+        # Every row's violations at the reports, grouped by node: node i's
+        # pair rows, then its own displacement row, from segment[i] on.
+        order = np.argsort(cons.owner, kind="stable")
+        vals = cons.values_at(cons.positions)
+        self.over, self.under = (vals - cons.hi)[order], (cons.lo - vals)[order]
+        self.segment = self.first_row[:-1] + np.arange(self.n)
+        self.pair_slot = np.arange(p) + self.src
+        # A report fits below this without an exact evaluation: the masked
+        # slack is within ``conic.masked_node_slack``'s rounding margin of
+        # the exact one, so the two sides of tol_feas agree.
+        finite_lo = cons.lo[np.isfinite(cons.lo)]
+        scale = max(np.abs(vals).max(), np.abs(cons.hi).max(), np.abs(finite_lo).max(initial=0.0))
+        self.fit_limit = self.opts.tol_feas - 32 * np.finfo(float).eps * scale
         self.verdicts: dict[tuple[int, bytes], tuple[float, float]] = {}
         # Each node's last solved point within tol_feas (NaN before one).
         self.kept = np.full((self.n, 3), np.nan)
-        self.node_solves = self.carried = self.cache_hits = 0
+        self.node_solves = self.node_iterations = self.carried = self.cache_hits = 0
 
     def check(self, sub_ids) -> str:
         """Status of the sub-network ``sub_ids`` (an iterable of UAV ids)."""
-        member, active = self._select(sub_ids)
-        upper, lower = np.inf, self.pairs.bound(active)
-        if lower < self.opts.tol_infeas:
-            upper, node_lower = self._node_bounds(np.flatnonzero(member & ~self.settled), member)
-            upper = max(upper, np.max(self.report_slack[member & self.settled], initial=-np.inf))
-            lower = max(lower, node_lower)
-        return verdict(upper, lower, self.opts)
+        return self.check_known(_uav_ids(sub_ids, self.n))
+
+    def check_known(self, sub_ids) -> str:
+        """``check`` for a collection of ids already known to be UAV ids of
+        the scenario, as the detectors' sub-networks are: no id is
+        validated."""
+        return self._status(np.fromiter(sub_ids, dtype=np.intp, count=len(sub_ids)))
 
     def pairwise_bound(self, sub_ids) -> float:
         """The sub-network's pairwise bound: bit for bit what
         ``conic.pairwise_slack_bound`` gives its assembled problem."""
-        return self.pairs.bound(self._select(sub_ids)[1])
+        return self.pairs.bound(self._select(_uav_ids(sub_ids, self.n))[1])
 
-    def _select(self, sub_ids) -> tuple[np.ndarray, np.ndarray]:
+    def _select(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Member mask of the sub-network's UAVs, and of its pair rows."""
         member = np.zeros(self.n, dtype=bool)
-        member[_uav_ids(sub_ids, self.n)] = True
+        member[ids] = True
         return member, member[self.src] & member[self.dst]
 
-    def _node_bounds(self, members: np.ndarray, member: np.ndarray) -> tuple[float, float]:
-        """Largest upper and lower node bounds over ``members``, in the
-        sub-network of member mask ``member``.  Cached verdicts come first;
+    def _status(self, ids: np.ndarray) -> str:
+        member, active = self._select(ids)
+        upper, lower = np.inf, self.pairs.bound(active)
+        if lower < self.opts.tol_infeas:
+            upper, node_lower = self._node_bounds(member, active)
+            lower = max(lower, node_lower)
+        return verdict(upper, lower, self.opts)
+
+    def _node_bounds(self, member: np.ndarray, active: np.ndarray) -> tuple[float, float]:
+        """Largest upper and lower node bounds over the members, in the
+        sub-network of member mask ``member`` and pair-row mask ``active``.
+        Members whose reports fit come first, then cached verdicts;
         uncached nodes are decided only when none of those proves
         infeasibility."""
-        # A member's pair row is present iff its counterpart is a member.
-        present = np.append(member, False)[self.counterparts[members]]
-        keys = list(zip(members.tolist(), present.view(np.dtype((np.void, present.shape[1]))).ravel().tolist()))
+        slack = self._report_slack(member, active)
+        fits = slack <= self.fit_limit
+        upper = slack[fits].max(initial=-np.inf)
+        if fits.all():
+            return upper, -np.inf
+        first = self.first_row
+        keys = [(i, active[first[i]:first[i + 1]].tobytes()) for i in np.flatnonzero(member)[~fits].tolist()]
         hits = [self.verdicts.get(key) for key in keys]
         bounds = [hit for hit in hits if hit is not None]
         self.cache_hits += len(bounds)
         if len(bounds) < len(keys) and max([lower for _upper, lower in bounds], default=-np.inf) < self.opts.tol_infeas:
-            bounds += self._decide([(i, self.first_row[i] + np.flatnonzero(present[k]), (i, bits))
-                                    for k, ((i, bits), hit) in enumerate(zip(keys, hits)) if hit is None])
+            bounds += self._decide([(i, first[i] + np.flatnonzero(np.frombuffer(bits, dtype=bool)), (i, bits))
+                                    for (i, bits), hit in zip(keys, hits) if hit is None])
         lower = max([lower for _upper, lower in bounds], default=-np.inf)
-        if len(bounds) < len(members):
+        if len(bounds) < len(keys):
             return np.inf, lower
-        return max([upper for upper, _lower in bounds], default=-np.inf), lower
+        return max([upper, *(upper for upper, _lower in bounds)]), lower
+
+    def _report_slack(self, member: np.ndarray, active: np.ndarray) -> np.ndarray:
+        """Each member's report slack over its rows present in the
+        sub-network (``conic.masked_node_slack``)."""
+        present = np.ones(len(self.over), dtype=bool)
+        present[self.pair_slot] = active
+        return conic.masked_node_slack(self.over, self.under, present, self.segment)[member]
 
     def _decide(self, misses: list) -> list[tuple[float, float]]:
-        """Settle the uncached nodes by their reports, then by their kept
-        points, then by the node loop, and keep and return the verdict of
-        each node settled."""
+        """Settle the uncached nodes, whose reports miss, by their kept
+        points, then by the node loop (from their reports), and keep and
+        return the verdict of each node settled."""
         ids = [i for i, _rows, _key in misses]
         rows = np.concatenate([r for _i, r, _key in misses] + [self.cons.n_pairs + np.array(ids)])
         family = self.cons.family(ids, rows)
@@ -392,8 +420,10 @@ class ScenarioOracle:
             for k in np.flatnonzero(retry & (at_kept.node_slack <= tol)).tolist():
                 witness.put(k, at_kept.entry(k))
                 self.carried += 1
-        solved = conic.refine_witness(family, witness, tol, self.opts.tol_infeas)
+        steps: list[int] = []
+        solved = conic.refine_witness(family, witness, tol, self.opts.tol_infeas, steps)
         self.node_solves += len(solved)
+        self.node_iterations += sum(steps)
         decided = []
         for k, (i, _rows, key) in enumerate(misses):
             if k in solved or witness.node_slack[k] <= tol:

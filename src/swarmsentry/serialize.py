@@ -145,12 +145,22 @@ def problem_to_dict(problem: FeasibilityProblem) -> dict:
     }
 
 
+def _id_key(key: str) -> int:
+    """The UAV id that a JSON object key names.  A key names an id only when
+    it is exactly the text ``str`` writes for it: ``int`` alone would also
+    read "0_1" as 1 and " 3" as 3."""
+    uid = int(key)
+    if str(uid) != key:
+        raise InvalidParameterError(f"UAV id keys must be integers written as str writes them, got {key!r}")
+    return uid
+
+
 @_decoder
 def problem_from_dict(data: dict) -> FeasibilityProblem:
     return FeasibilityProblem(
         # Ids pass as decoded: ``FeasibilityProblem`` rejects any that is not an integer.
         node_order=tuple(data["node_order"]),
-        reported_positions={int(k): np.array(v, dtype=float) for k, v in data["reported_positions"].items()},
+        reported_positions={_id_key(k): np.array(v, dtype=float) for k, v in data["reported_positions"].items()},
         constraint_pairs=tuple((i, j, float(r)) for i, j, r in data["constraint_pairs"]),
         comm_range=float(data["comm_range"]),
         epsilon=float(data["epsilon"]),

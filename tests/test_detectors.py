@@ -154,7 +154,7 @@ class TestAlgorithmInvariants:
         hood_max = max(len(ss.neighbor_set(scen.measurements, k)) for k in range(20))
         for base_ok in (False, True):
             trusted = set(initial.trusted) if base_ok else None
-            monkeypatch.setattr(sdp.ScenarioOracle, "check",
+            monkeypatch.setattr(sdp.ScenarioOracle, "check_known",
                                 lambda self, sub_ids: sdp.FEASIBLE if set(sub_ids) == trusted else sdp.UNKNOWN)
             for algo in (cdi, ecdi):
                 res = algo(initial, scen)
@@ -179,7 +179,7 @@ class TestNodeSolveMemo:
         solves = []
         solve_node = ss.conic.solve_node
         monkeypatch.setattr(ss.conic, "solve_node", lambda *a: solves.append(1) or solve_node(*a))
-        check = sdp.ScenarioOracle.check
+        check = sdp.ScenarioOracle.check_known
         asked = []
 
         def recorded(oracle, sub_ids):
@@ -187,7 +187,7 @@ class TestNodeSolveMemo:
             asked.append((frozenset(sub_ids), status))
             return status
 
-        monkeypatch.setattr(sdp.ScenarioOracle, "check", recorded)
+        monkeypatch.setattr(sdp.ScenarioOracle, "check_known", recorded)
         for algo in (cdi, ecdi):
             asked.clear()
             solves.clear()

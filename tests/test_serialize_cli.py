@@ -176,6 +176,20 @@ class TestCli:
         prob_path.write_text(json.dumps(data))
         assert run_cli("oracle-check", str(prob_path)) == 2
 
+    @pytest.mark.parametrize("old,new", [("1", "0_1"), ("3", " 3"), ("3", "3 "), ("2", "02"), ("0", "-0"),
+                                         ("4", "+4"), ("5", "five")])
+    def test_oracle_check_rejects_non_canonical_position_keys(self, tmp_path, old, new):
+        # ``int()`` alone reads "0_1" as 1 and " 3" as 3, so a renamed key
+        # would still name a UAV of the sub-network.
+        data = serialize.load_path(str(DATA / "problem_n30_distributed.json"))
+        positions = data["reported_positions"]
+        positions[new] = positions.pop(old)
+        with pytest.raises(ss.InvalidParameterError):
+            serialize.problem_from_dict(data)
+        prob_path = tmp_path / "problem.json"
+        prob_path.write_text(json.dumps(data))
+        assert run_cli("oracle-check", str(prob_path)) == 2
+
     @pytest.mark.parametrize("kind,spoil", [
         ("collusion", lambda p: p.update(malicious_ids=[str(i) for i in p["malicious_ids"]])),
         ("collusion", lambda p: p.update(malicious_ids=[float(i) for i in p["malicious_ids"]])),
