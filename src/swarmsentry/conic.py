@@ -26,10 +26,13 @@ core, which ``sdp.check_feasibility`` (one assembled sub-network) and
   with its best Gram surplus, and gives every node that misses the
   tolerance, worst first, one deterministic primal-dual interior-point
   solve on its five variables (``solve_node``, Mehrotra predictor-corrector
-  steps).  Each iterate's position, evaluated exactly, is an upper bound;
-  its normalized multipliers, fed to the node's closed-form Lagrange dual,
-  are a lower bound.  The solve stops at the first point that certifies
-  its verdict, and the loop at the first node proven infeasible.
+  steps).  The solve starts at the report, its residuals sized by the
+  report's own slack rather than the data's scale, and that report's
+  evaluation is its first upper bound.  Each iterate's position, evaluated
+  exactly, is an upper bound; its normalized multipliers, fed to the
+  node's closed-form Lagrange dual, are a lower bound.  The solve stops at
+  the first point that certifies its verdict, usually within two or three
+  steps, and the loop at the first node proven infeasible.
   ``sdp.ScenarioOracle``, which meets each node again under other anchor
   sets, computes every row's violation at the reports once per scenario,
   so a node's report slack in any sub-network comes from masked maxima
@@ -52,17 +55,22 @@ decisions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 _CERTIFY_STEPS = 64
-# The node solve stops once its duality gap is 1e-9 of its start (about the
-# data scale); its certificates usually stop it within four to six steps.
+# The node solve stops once its duality gap is 1e-9 of the gap of a start
+# at the data's scale; its certificates usually stop it first, within two or
+# three steps of its start at the report.
 _STEP_BACK = 0.99
 _GAP_REDUCTION = 1e-9
 _MAX_STEPS = 50
+# The start's residuals are at least this fraction of the data's scale, so
+# they stay positive when the report's slack and epsilon are both zero.
+_DELTA_FLOOR = 1e-6
 _RETRACT_STEPS = 20
 
 
@@ -179,7 +187,6 @@ class PairThresholds:
     hi: np.ndarray
     lo: np.ndarray
     eps: float
-    _certified: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, cons: CompiledConstraints) -> "PairThresholds":
@@ -223,6 +230,33 @@ class PairThresholds:
         unmet = np.flatnonzero(self.unmet)
         return unmet[np.argsort(-self.tau[unmet], kind="stable")]
 
+    @cached_property
+    def certified(self) -> np.ndarray:
+        """Each ranked pair's threshold stepped down until the float
+        predicate rejects that pair, so it certifies as an exact bisection
+        would; zero where no positive relaxation is rejected.
+
+        All pairs step at once, each by one ulp first, then by doubling
+        steps: rounding in the closed form rarely puts ``tau`` more than a
+        few ulps past the float predicate.
+        """
+        pairs = self.ranked
+        bound, step = self.tau[pairs], np.zeros(len(pairs))
+        out = np.zeros(len(pairs))
+        live = np.arange(len(pairs))
+        for _ in range(_CERTIFY_STEPS):
+            # Not ``> 0``: a NaN threshold stays, and the predicate rejects it.
+            live = live[~(bound[live] <= 0.0)]
+            rejected = ~self.satisfied(bound[live], pairs[live])
+            out[live[rejected]] = bound[live[rejected]]
+            live = live[~rejected]
+            if not live.size:
+                break
+            b = bound[live]
+            step[live] = np.where(step[live] > 0.0, 2.0 * step[live], b - np.nextafter(b, -np.inf))
+            bound[live] = b - step[live]
+        return out
+
     def bound(self, mask: np.ndarray | None = None) -> float:
         """Certified lower bound on the slack of the pairs in ``mask`` (all
         pairs by default): the certified threshold of the first of their
@@ -230,32 +264,10 @@ class PairThresholds:
         admits t = 0.
 
         Nonnegative by construction; zero is vacuous (no violation provable
-        this way).  Certified thresholds are kept per pair.
+        this way).
         """
-        ranked = self.ranked if mask is None else self.ranked[mask[self.ranked]]
-        if not ranked.size:
-            return 0.0
-        worst = int(ranked[0])
-        if worst not in self._certified:
-            self._certified[worst] = self._certify(worst)
-        return self._certified[worst]
-
-    def _certify(self, k: int) -> float:
-        """Pair ``k``'s threshold stepped down until the float predicate
-        rejects that pair, so it certifies as an exact bisection would; zero
-        when no positive relaxation is rejected."""
-        bound, step = float(self.tau[k]), 0.0
-        for _ in range(_CERTIFY_STEPS):
-            if bound <= 0.0:
-                return 0.0
-            # ``[k]``: a numpy scalar's ``** 2`` can round apart from ``unmet``'s.
-            if not self.satisfied(bound, [k])[0]:
-                return bound
-            # One ulp first, then doubling steps: rounding in the closed form
-            # rarely puts it more than a few ulps past the float predicate.
-            step = 2.0 * step if step else bound - float(np.nextafter(bound, -np.inf))
-            bound -= step
-        return 0.0
+        certified = self.certified if mask is None else self.certified[mask[self.ranked]]
+        return float(certified[0]) if certified.size else 0.0
 
 
 def pairwise_slack_bound(cons: CompiledConstraints) -> float:
@@ -388,7 +400,8 @@ class NodeSolver:
     residuals c + G v >= 0) and z >= ||u||^2 (cone residual z - ||u||^2).
     ``s`` holds the linear residuals and then the cone residual, ``y`` their
     multipliers, so y s is the complementarity of every constraint and
-    y . s the surrogate duality gap.
+    y . s the surrogate duality gap.  ``report`` is the family's evaluation
+    at its report, which sizes the start.
     """
 
     def __init__(self, cons: CompiledConstraints):
@@ -407,15 +420,27 @@ class NodeSolver:
         G[k:, 3] = 1.0
         G[:m, 4] = 1.0
         self.c = np.concatenate([cons.hi - dd, (dd - cons.lo)[has_lo]])
-        # Start at the report with every residual at least the data's own
-        # scale, on the central path of the weight that zeroes the
-        # t-gradient there, so the linear multipliers sum to one.
+        # Start at the report (u = 0) with cone residual z and every linear
+        # residual at least z, on the central path of the weight that zeroes
+        # the t-gradient there, so the linear multipliers sum to one.  Here
+        # z is the report's best Gram surplus plus delta, the magnitude of
+        # the report's slack (at least epsilon, and at least a sliver of the
+        # data's scale so that delta is positive): the first steps stay on
+        # the report's scale instead of making the upper bound worse than
+        # the report's own.
+        self.report = evaluate_witness(cons, cons.positions.copy())
         scale = float(np.abs(self.c).max()) + cons.epsilon + 1e-12
-        self.v = np.array([0.0, 0.0, 0.0, scale, scale - float((self.c + G[:m, 3] * scale).min())])
+        delta = max(abs(float(self.report.node_slack[0])), cons.epsilon, _DELTA_FLOOR * scale)
+        z = float(self.report.s[0]) + delta
+        self.v = np.array([0.0, 0.0, 0.0, z, z - float((self.c + G[:m, 3] * z).min())])
         self.s = self.residuals(self.v)
         self.y = 1.0 / self.s
         self.y /= self.y[:-1].sum()
-        self.start_gap = self.gap()
+        # The stop rule's reference: the gap y . s of that start taken at
+        # z = scale, which is len(s) over the sum of 1 / s_i over its linear
+        # residuals.
+        lin = self.c + G[:m, 3] * scale
+        self.start_gap = (m + 1) / float(np.sum(1.0 / (lin + scale - lin.min())))
 
     def residuals(self, v: np.ndarray) -> np.ndarray:
         """The linear residuals and the cone residual at ``v``."""
@@ -532,7 +557,7 @@ def solve_node(
     ``iterations``, when given, receives the number of steps taken.
     """
     node = NodeSolver(cons)
-    best = evaluate_witness(cons, cons.positions.copy())
+    best = node.report
     upper, lower = best.slack, -np.inf
     steps = 0
     while steps < _MAX_STEPS and node.gap() > _GAP_REDUCTION * node.start_gap:
@@ -578,20 +603,21 @@ def retract(cons: CompiledConstraints, witness: WitnessResult, target: float) ->
 
 
 def refine_witness(
-    cons: CompiledConstraints, witness: WitnessResult, tol_feas: float, tol_infeas: float,
+    node: Callable[[int], CompiledConstraints], witness: WitnessResult, tol_feas: float, tol_infeas: float,
     iterations: list | None = None,
 ) -> dict[int, float]:
     """The oracle's node loop: replace, worst first, every node entry of
     ``witness`` that misses ``tol_feas`` with its node solve (``solve_node``,
     unretracted), and return each solved node's lower bound by local index.
     The first node whose lower bound reaches ``tol_infeas`` ends the loop.
+    ``node(i)`` gives entry ``i``'s one-node family, once per solve.
     ``iterations``, when given, receives each solve's step count.
     """
     lowers: dict[int, float] = {}
     for i in np.argsort(-witness.node_slack, kind="stable").tolist():
         if witness.node_slack[i] <= tol_feas:
             break
-        found, lowers[i] = solve_node(cons.node(i), tol_feas, tol_infeas, iterations)
+        found, lowers[i] = solve_node(node(i), tol_feas, tol_infeas, iterations)
         witness.put(i, found)
         if lowers[i] >= tol_infeas:
             break

@@ -225,7 +225,7 @@ def check_feasibility(problem: FeasibilityProblem, opts: OracleOptions | None = 
     lower = conic.pairwise_slack_bound(cons)
     witness = conic.evaluate_witness(cons, cons.positions.copy())
     if lower < opts.tol_infeas:
-        solved = conic.refine_witness(cons, witness, opts.tol_feas, opts.tol_infeas)
+        solved = conic.refine_witness(cons.node, witness, opts.tol_feas, opts.tol_infeas)
         lower = max([lower, *solved.values()])
         for i in solved:
             witness.put(i, conic.retract(cons.node(i), witness.entry(i), min(opts.tol_feas, 0.0)))
@@ -407,8 +407,8 @@ class ScenarioOracle:
         points, then by the node loop (from their reports), and keep and
         return the verdict of each node settled."""
         ids = [i for i, _rows, _key in misses]
-        rows = np.concatenate([r for _i, r, _key in misses] + [self.cons.n_pairs + np.array(ids)])
-        family = self.cons.family(ids, rows)
+        selves = self.cons.n_pairs + np.array(ids)
+        family = self.cons.family(ids, np.concatenate([rows for _i, rows, _key in misses] + [selves]))
         tol = self.opts.tol_feas
         witness = conic.evaluate_witness(family, family.positions.copy())
         kept = self.kept[ids]
@@ -420,8 +420,13 @@ class ScenarioOracle:
             for k in np.flatnonzero(retry & (at_kept.node_slack <= tol)).tolist():
                 witness.put(k, at_kept.entry(k))
                 self.carried += 1
+
+        def node(k: int) -> conic.CompiledConstraints:
+            # Built once, from the scenario's family, for each node solved.
+            return self.cons.family(ids[k:k + 1], np.append(misses[k][1], selves[k]))
+
         steps: list[int] = []
-        solved = conic.refine_witness(family, witness, tol, self.opts.tol_infeas, steps)
+        solved = conic.refine_witness(node, witness, tol, self.opts.tol_infeas, steps)
         self.node_solves += len(solved)
         self.node_iterations += sum(steps)
         decided = []

@@ -25,16 +25,17 @@ import contextlib
 import numpy as np
 import pytest
 
-from swarmsentry import conic, sdp
+from swarmsentry import conic, sdp, serialize
 
-from conftest import make_scenario
+from conftest import honest_scenario, make_scenario
 
 KINDS = ("distributed", "collusion", "mixed")
 DIST_VARS = (1e-6, 1e-4, 1e-3)
 PER_SCENARIO = 4
-# Steps a solve takes before a certificate stops it: at most 7 over the
-# node solves of the acceptance sweep bundle, at most 6 on these families.
-STEP_CAP = 8
+# Steps a solve takes before a certificate stops it: at most 4 over the
+# node solves of the acceptance sweep bundle and on these families (7 and 6
+# from a start at the data's scale).
+STEP_CAP = 6
 # The two ways of taking a step differ by rounding only: at most 4e-11
 # relative over these families, far below this.
 RTOL = 1e-8
@@ -206,3 +207,24 @@ def test_solve_ends_within_cap(k):
     node.iterate(conic._MAX_STEPS)
     upper = min(found.slack, conic.evaluate_witness(cons, node.position()).slack)
     assert verdict_class(found.slack, lower) == verdict_class(upper, max(lower, node.dual_bound()))
+
+
+def test_start_interior_at_zero_report_slack_and_epsilon():
+    # From a problem file with epsilon = 0, a report that meets every pair
+    # bound has slack exactly 0, so the start's size comes from the data's
+    # scale alone; a negative tol_feas sends such nodes to the solve, whose
+    # optimum is exactly 0.
+    data = serialize.problem_to_dict(sdp.assemble(range(8), honest_scenario(seed=3, n=8)))
+    problem = serialize.problem_from_dict({**data, "epsilon": 0.0})
+    cons = problem.compiled()
+    zero = [i for i in range(cons.n)
+            if conic.evaluate_witness(cons.node(i), cons.positions[i:i + 1].copy()).slack == 0.0]
+    assert zero
+    for i in zero:
+        node = conic.NodeSolver(cons.node(i))
+        assert node.s.min() > 0
+        assert np.all(np.isfinite(node.y)) and node.y.min() > 0
+    opts = sdp.OracleOptions(tol_feas=-1e-9, tol_infeas=1e-4)
+    res = sdp.check_feasibility(problem, opts)
+    assert res.status == sdp.UNKNOWN
+    assert res.diagnostics["slack_lower"] <= 0.0 <= res.diagnostics["slack_upper"]

@@ -37,6 +37,21 @@ def reference_bound(D, hi, lo, eps, steps=80):
     return float(np.max(t_lo))
 
 
+def stepped_down(tau, D, hi, lo, eps):
+    """One pair's threshold stepped down, by one ulp and then by doubling
+    steps, until the float predicate rejects that pair alone; zero when no
+    positive relaxation is rejected."""
+    bound, step = tau, 0.0
+    for _ in range(64):
+        if bound <= 0.0:
+            return 0.0
+        if not satisfied(bound, D, hi, lo, eps)[0]:
+            return bound
+        step = 2.0 * step if step else bound - float(np.nextafter(bound, -np.inf))
+        bound -= step
+    return 0.0
+
+
 def one_node_family(D, hi, lo, eps):
     """Node 0 at the origin, one pair functional per entry at separation D
     along x, then both nodes' displacement functionals."""
@@ -86,6 +101,18 @@ def test_closed_form_matches_bisection(data, eps):
     hi = [h for _, h, _ in data]
     lo = [h - gap for _, h, gap in data]
     check_against_reference(D, hi, lo, eps)
+
+
+@given(pairs, epsilons)
+@settings(max_examples=300, deadline=None)
+@example(data=[(0.0, 0.13322961856046525, 0.10832195502033382)], eps=0.01)
+def test_certified_in_one_pass_matches_each_pair_alone(data, eps):
+    # ``PairThresholds.certified`` steps every unmet pair down at once.
+    D, hi, lo = (np.array(a, dtype=float) for a in zip(*((d, h, h - gap) for d, h, gap in data)))
+    thresholds = conic.PairThresholds(D, hi, lo, eps)
+    expected = [stepped_down(float(thresholds.tau[k]), D[k:k + 1], hi[k:k + 1], lo[k:k + 1], eps)
+                for k in thresholds.ranked.tolist()]
+    assert thresholds.certified.tolist() == expected
 
 
 @given(st.floats(-0.1, 1.0), st.floats(-0.2, 1.0), epsilons)
