@@ -32,7 +32,6 @@ from .swarm import (
     MeasurementSet,
     Swarm,
     _is_id,
-    neighbor_set,
     row_norms,
 )
 
@@ -111,16 +110,15 @@ def select_malicious(swarm: Swarm, m: int, seed: int) -> frozenset[int]:
 
 def default_collusion_target(swarm: Swarm, measurements: MeasurementSet, malicious_ids: frozenset[int]) -> int:
     """Benign UAV with the highest honest degree (ties broken by lowest id)."""
-    best_id, best_deg = -1, -1
-    for u in swarm.uavs:
-        if u.id in malicious_ids:
-            continue
-        deg = len(neighbor_set(measurements, u.id))
-        if deg > best_deg:
-            best_id, best_deg = u.id, deg
-    if best_id < 0:
+    n, src, dst = measurements.n, measurements.src, measurements.dst
+    # Each unordered linked pair once, then both its ends.
+    links = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
+    links = links[np.diff(links, prepend=-1) != 0]
+    degree = np.bincount(np.concatenate([links // n, links % n]), minlength=swarm.n)[:swarm.n]
+    degree[np.isin(np.arange(swarm.n), list(malicious_ids))] = -1
+    if degree.max() < 0:
         raise InvalidParameterError("no benign UAV available as collusion target")
-    return best_id
+    return int(np.argmax(degree))
 
 
 def _spoof(
@@ -145,16 +143,25 @@ def _spoof(
         uavs[m_id] = replace(uavs[m_id], reported_pos=fake, ground_truth_malicious=True)
     attacked = replace(swarm, uavs=tuple(uavs))
     reported = attacked.reported_positions()
-    entries = {k: r for k, r in measurements.entries.items() if k[0] not in fakes}
+    attackers = np.array(sorted(fakes), dtype=np.intp)
     ids = np.arange(swarm.n)
-    for m_id in sorted(fakes):
-        dist = row_norms(reported[m_id] - reported)
-        js = np.flatnonzero(((dist <= swarm.comm_range) | (ids == target)) & (ids != m_id))
-        # One draw of k values equals k scalar draws, in the same (id) order.
-        noise = rng.normal(0.0, np.sqrt(dist_var), size=js.size) if dist_var > 0 else 0.0
-        claims = np.maximum(dist[js] + noise, DISTANCE_FLOOR)
-        entries.update(zip(((m_id, j) for j in js.tolist()), claims.tolist()))
-    return attacked, MeasurementSet(swarm.n, entries)
+    # One row of distances per attacker, each the per-pair norm (row_norms).
+    dist = row_norms((reported[attackers, None, :] - reported[None, :, :]).reshape(-1, 3)).reshape(-1, swarm.n)
+    in_reach = ((dist <= swarm.comm_range) | (ids == target)) & (ids != attackers[:, None])
+    # Row-major: each attacker's claims in id order, attackers in id order.
+    row, js = np.nonzero(in_reach)
+    # One draw of k values equals k scalar draws, in the same order.
+    noise = rng.normal(0.0, np.sqrt(dist_var), size=js.size) if dist_var > 0 else 0.0
+    claims = np.maximum(dist[row, js] + noise, DISTANCE_FLOOR)
+    is_attacker = np.zeros(swarm.n, dtype=bool)
+    is_attacker[attackers] = True
+    keep = ~is_attacker[measurements.src]
+    return attacked, MeasurementSet.from_arrays(
+        swarm.n,
+        np.concatenate([measurements.src[keep], attackers[row]]),
+        np.concatenate([measurements.dst[keep], js]),
+        np.concatenate([measurements.r[keep], claims]),
+    )
 
 
 def _sample_distributed_fake(

@@ -135,14 +135,15 @@ class CompiledConstraints:
 
 def compile_constraints(
     positions: np.ndarray,
-    pairs: list[tuple[int, int, float]],
+    pairs: list[tuple[int, int, float]] | np.ndarray,
     comm_range: float,
     epsilon: float,
     delta: float,
     window_sq: float,
 ) -> CompiledConstraints:
     """Build the slab family: range and window bounds per measured pair, a
-    displacement bound per node."""
+    displacement bound per node.  ``pairs`` holds (i, j, r) rows: triplets
+    or a (p, 3) array."""
     positions = np.asarray(positions, dtype=float)
     n = len(positions)
     cols = np.array(pairs, dtype=float).reshape(-1, 3)

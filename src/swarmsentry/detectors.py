@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -86,9 +87,8 @@ class DetectionContext:
         self.initial = partition(self.evidence)
         # Who claims a measurement about each id: a singleton check of id is
         # conclusive only once these counterparties have been assessed.
-        entries = scenario.measurements.entries
-        pairs = np.array(list(entries), dtype=np.intp).reshape(-1, 2)
-        claimant, subject = pairs[:, 0], pairs[:, 1]
+        ms = scenario.measurements
+        claimant, subject, r = ms.src, ms.dst, ms.r
         self.accusers = _by_subject(claimant, subject, scenario.n)
         # Value-conflicting testimony: claims whose distance disagrees with
         # the reported geometry of the pair beyond the acceptance window.
@@ -100,7 +100,6 @@ class DetectionContext:
         d = scenario.swarm.comm_range
         window = (d / 2.0) ** 2
         pos = scenario.swarm.reported_positions()
-        r = np.fromiter(entries.values(), dtype=float, count=len(entries))
         gap_sq = ((pos[claimant] - pos[subject]) ** 2).sum(axis=1)
         conflict = (gap_sq >= d * d + window) | (np.abs(r * r - gap_sq) >= window)
         self.conflicting_accusers = _by_subject(claimant[conflict], subject[conflict], scenario.n)
@@ -362,21 +361,23 @@ def nlos_baseline(
     """
     if m <= 0:
         return frozenset()
-    scored = []
-    for (i, j), r in e_n.entries.items():
-        gap = abs(r * r - e_r.entries[(i, j)] ** 2) if (i, j) in e_r.entries else np.inf
-        scored.append((-gap, i, j))
-    scored.sort()
-    pool: list[int] = []
-    first_rank: dict[int, int] = {}
-    for rank, (_, i, j) in enumerate(scored, start=1):
-        for v in (i, j):
-            if v not in first_rank:
-                first_rank[v] = rank
-                pool.append(v)
+    # ``**`` on each float as Python computes it: numpy squares by one
+    # multiplication, which differs in the last bit on about one pair in a
+    # thousand.
+    implied = e_r.lookup(e_n.codes).tolist()
+    gap = np.abs(e_n.r * e_n.r - np.fromiter(map(pow, implied, repeat(2)), dtype=float, count=len(implied)))
+    # Rank by largest gap, ties by (i, j); each rank brings its i, then its j.
+    ranked = np.lexsort((e_n.codes, -gap))
+    ends = np.stack([e_n.src[ranked], e_n.dst[ranked]], axis=1).ravel()
+    first = np.full(e_n.n, len(ends))
+    np.minimum.at(first, ends, np.arange(len(ends)))
+    seen = np.flatnonzero(first < len(ends))
+    pool_ids = seen[np.argsort(first[seen])]
+    pool = pool_ids.tolist()
+    first_rank = first[pool_ids] // 2 + 1
     if m >= len(pool):
         return frozenset(pool)
-    weights = np.array([1.0 / first_rank[v] for v in pool])
+    weights = 1.0 / first_rank
     rng = seeds.stream(seed, seeds.NLOS_BASELINE)
     picked = rng.choice(len(pool), size=m, replace=False, p=weights / weights.sum())
     return frozenset(pool[int(k)] for k in picked)

@@ -173,17 +173,19 @@ def assemble(sub_ids, scenario: AttackedScenario, paper_replication: bool = Fals
     acceptance window of the distance to the counterpart's report, and that
     distance must stay within communication range.
     """
-    ids = tuple(np.unique(_uav_ids(sub_ids, scenario.n)).tolist())
+    ids = np.unique(_uav_ids(sub_ids, scenario.n))
     d = scenario.swarm.comm_range
     eps, delta, window_sq = _settings(d, paper_replication)
-    members = set(ids)
-    pos = {u.id: u.reported_pos for u in scenario.swarm.uavs if u.id in members}
-    outgoing = scenario.measurements.outgoing
-    pairs = tuple(t for i in ids for t in outgoing.get(i, ()) if t[1] in members)
+    member = np.zeros(scenario.n, dtype=bool)
+    member[ids] = True
+    ms = scenario.measurements
+    # The claims in (src, dst) order, kept where both ends are members.
+    rows = ms.order[member[ms.src[ms.order]] & member[ms.dst[ms.order]]]
+    ids = tuple(ids.tolist())
     return FeasibilityProblem(
         node_order=ids,
-        reported_positions=pos,
-        constraint_pairs=pairs,
+        reported_positions={i: scenario.swarm.uavs[i].reported_pos for i in ids},
+        constraint_pairs=tuple(zip(ms.src[rows].tolist(), ms.dst[rows].tolist(), ms.r[rows].tolist())),
         comm_range=d,
         epsilon=eps,
         strictness_margin=delta,
@@ -313,16 +315,16 @@ class ScenarioOracle:
         d = scenario.swarm.comm_range
         self.opts = OracleOptions()
         self.n = scenario.n
-        outgoing = scenario.measurements.outgoing
-        pairs = [t for i in range(self.n) for t in outgoing.get(i, ())]
+        ms = scenario.measurements
+        # The claims in (src, dst) order: node i's pair rows are first_row[i]
+        # up to first_row[i + 1].
+        self.first_row = ms.row_start
+        self.src, self.dst = ms.src[ms.order], ms.dst[ms.order]
         self.cons = cons = conic.compile_constraints(
-            scenario.swarm.reported_positions(), pairs, d, *_settings(d, options.paper_replication)
+            scenario.swarm.reported_positions(), np.column_stack([self.src, self.dst, ms.r[ms.order]]), d,
+            *_settings(d, options.paper_replication)
         )
         p = cons.n_pairs
-        self.src = cons.owner[:p]
-        self.dst = np.array([j for (_i, j, _r) in pairs], dtype=int)
-        # Node i's pair rows are first_row[i] up to first_row[i + 1].
-        self.first_row = np.searchsorted(self.src, np.arange(self.n + 1))
         self.pairs = conic.PairThresholds.of(cons)
         # Every row's violations at the reports, grouped by node: node i's
         # pair rows, then its own displacement row, from segment[i] on.

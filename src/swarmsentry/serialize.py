@@ -15,7 +15,7 @@ from .attacks import AttackPlan, AttackedScenario
 from .detectors import DetectionResult
 from .sdp import FeasibilityProblem, OracleResult
 from .suspects import SuspectSets
-from .swarm import InvalidParameterError, MeasurementSet, Swarm, Uav
+from .swarm import InvalidParameterError, MeasurementSet, Swarm, _uavs_from_rows
 
 
 def _decoder(fn):
@@ -34,36 +34,30 @@ def _decoder(fn):
 
 
 def swarm_to_dict(swarm: Swarm) -> dict:
+    true, reported = swarm.true_positions().tolist(), swarm.reported_positions().tolist()
     return {
         "n": swarm.n,
         "comm_range": swarm.comm_range,
         "cube_half_width": swarm.cube_half_width,
         "rng_seed": swarm.rng_seed,
         "uavs": [
-            {
-                "id": u.id,
-                "true_pos": u.true_pos.tolist(),
-                "reported_pos": u.reported_pos.tolist(),
-                "malicious": u.ground_truth_malicious,
-            }
-            for u in swarm.uavs
+            {"id": u.id, "true_pos": t, "reported_pos": r, "malicious": u.ground_truth_malicious}
+            for u, t, r in zip(swarm.uavs, true, reported)
         ],
     }
 
 
 @_decoder
 def swarm_from_dict(data: dict) -> Swarm:
-    uavs = tuple(
-        Uav(
-            id=u["id"],   # as decoded: ``Swarm`` rejects any id that is not an integer
-            true_pos=np.array(u["true_pos"], dtype=float),
-            reported_pos=np.array(u["reported_pos"], dtype=float),
-            ground_truth_malicious=bool(u.get("malicious", False)),
-        )
-        for u in data["uavs"]
-    )
+    uavs = data["uavs"]
     return Swarm(
-        uavs=uavs,
+        # Ids as decoded: ``Swarm`` rejects any id that is not an integer.
+        uavs=_uavs_from_rows(
+            [u["id"] for u in uavs],
+            [u["true_pos"] for u in uavs],
+            [u["reported_pos"] for u in uavs],
+            [bool(u.get("malicious", False)) for u in uavs],
+        ),
         comm_range=float(data["comm_range"]),
         cube_half_width=float(data.get("cube_half_width", 0.5)),
         rng_seed=int(data.get("rng_seed", 0)),
@@ -73,15 +67,18 @@ def swarm_from_dict(data: dict) -> Swarm:
 def measurements_to_dict(ms: MeasurementSet) -> dict:
     return {
         "n": ms.n,
-        "entries": [[i, j, r] for (i, j, r) in ms.directed_pairs()],
+        "entries": list(map(list, ms.directed_pairs())),
     }
 
 
 @_decoder
 def measurements_from_dict(data: dict) -> MeasurementSet:
+    n, rows = int(data["n"]), data["entries"]
+    if rows and set(map(len, rows)) != {3}:
+        raise ValueError("each entry must be an [i, j, r] row")
+    src, dst, r = zip(*rows) if rows else ((), (), ())
     # Ids pass as decoded: ``MeasurementSet`` rejects any that is not an integer.
-    entries = {(i, j): float(r) for i, j, r in data["entries"]}
-    return MeasurementSet(int(data["n"]), entries)
+    return MeasurementSet.from_arrays(n, src, dst, np.fromiter(map(float, r), dtype=float, count=len(r)))
 
 
 def plan_to_dict(plan: AttackPlan | None) -> dict | None:
@@ -274,7 +271,47 @@ def _encode(value, newline: str) -> str:
             row = inner + "  "
             rows = rows.replace(",", "," + row).replace("]," + row + "[", inner + "]," + inner + "[" + row)
             return "[" + inner + "[" + row + rows + inner + "]" + newline + "]"
+    elif _flat_records(value, text):
+        return _indent_records(text, newline)
     return "[" + ",".join(inner + _encode(v, inner) for v in value) + newline + "]"
+
+
+# Key characters that need escaping or would be taken for punctuation.
+_UNSAFE_KEY_CHARS = frozenset('"\\[]{},:')
+
+
+def _flat_records(value, text: str) -> bool:
+    """Whether the list ``value``, whose compact JSON is ``text``, holds
+    only flat records: dicts whose keys are strings json writes verbatim
+    (printable ASCII, no punctuation of ``text``) and whose values are
+    numbers, literals, ``{}`` or lists of numbers and literals."""
+    if not all(type(v) is dict for v in value):
+        return False
+    if not all(type(k) is str and k.isascii() and k.isprintable() and _UNSAFE_KEY_CHARS.isdisjoint(k)
+               for k in set().union(*value)):
+        return False
+    # Every quote now delimits a string, and keys need no escaping.  A string
+    # value or list item ends in a quote followed by , ] or }; a non-empty
+    # dict value starts :{"; a dict item of a list follows [ or a comma that
+    # does not end a record; a list item of a list follows [ or a comma.
+    return not ('",' in text or '"]' in text or '"}' in text or ':{"' in text or "[{" in text[1:]
+                or "[[" in text or ",[" in text or text.count(",{") != text.count("},{"))
+
+
+def _indent_records(text: str, newline: str) -> str:
+    """The indented form of ``text``, the compact JSON of a list of flat
+    records (``_flat_records``), made by replacing its punctuation."""
+    record, key, item = newline + "  ", newline + "    ", newline + "      "
+    # Empty lists and dicts stay as they are: set them aside as control
+    # characters, which compact JSON never holds.
+    body = text[1:-1].replace("[]", "\0").replace("{}", "\1")
+    body = body.replace("{", "{" + key).replace("}", record + "}").replace("[", "[" + item).replace("]", key + "]")
+    # A comma before a quote separates keys, one before a record separates
+    # records; any other separates list items.
+    body = body.replace(',"', "\2").replace(",{", "\3").replace(",\1", "\4").replace(",", "," + item)
+    body = body.replace("\2", "," + key + '"').replace("\3", "," + record + "{").replace("\4", "," + record + "\1")
+    body = body.replace('":', '": ').replace("\0", "[]").replace("\1", "{}")
+    return "[" + record + body + newline + "]"
 
 
 def _key(key) -> str:

@@ -13,18 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackedScenario
-from .swarm import InvalidParameterError, MeasurementSet, row_norms
+from .swarm import InvalidParameterError, MeasurementSet, PairDistances, row_norms
 
 
-@dataclass(frozen=True)
-class ReportedDistanceMatrix:
-    """Sparse map (i, j) -> ||reported_i - reported_j|| over measurement adjacency."""
-
-    n: int
-    entries: dict[tuple[int, int], float]
-
-    def get(self, i: int, j: int) -> float:
-        return self.entries[(i, j)]
+class ReportedDistanceMatrix(PairDistances):
+    """Sparse map (i, j) -> ||reported_i - reported_j|| over measurement
+    adjacency: ``r`` holds the distances, aligned with the pairs ``src`` and
+    ``dst`` (see ``swarm.PairDistances``)."""
 
 
 @dataclass(frozen=True)
@@ -51,10 +46,23 @@ class SuspectSets:
 def build_reported_matrix(scenario: AttackedScenario) -> ReportedDistanceMatrix:
     """Euclidean distances between reported positions, on the claimed adjacency."""
     pos = scenario.swarm.reported_positions()
-    keys = list(scenario.measurements.entries)
-    pairs = np.array(keys, dtype=np.intp).reshape(-1, 2)
-    dist = row_norms(pos[pairs[:, 0]] - pos[pairs[:, 1]])
-    return ReportedDistanceMatrix(scenario.n, dict(zip(keys, dist.tolist())))
+    ms = scenario.measurements
+    return ReportedDistanceMatrix.from_arrays(scenario.n, ms.src, ms.dst, row_norms(pos[ms.src] - pos[ms.dst]))
+
+
+def _violations(e_r: ReportedDistanceMatrix, e_n: MeasurementSet, d: float) -> np.ndarray:
+    """The violating pairs, each coded i * n + j, in sorted order."""
+    if e_r.n != e_n.n:
+        raise InvalidParameterError("matrix dimensions disagree")
+    n = e_n.n
+    threshold = (d / 2.0) ** 2
+    keys = np.sort(np.concatenate([e_r.codes, e_n.codes]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    # A pair missing from one structure gets an infinite distance there, so
+    # its gap is infinite and it violates like a one-directional claim.
+    claimed, implied = e_n.lookup(keys), e_r.lookup(keys)
+    mutual = np.isfinite(e_n.lookup(keys % n * n + keys // n))
+    return keys[~mutual | (np.abs(claimed**2 - implied**2) >= threshold)]
 
 
 def violating_pairs(
@@ -65,24 +73,16 @@ def violating_pairs(
     A pair violates when (a) it is claimed in exactly one structure or one
     direction, or (b) |r_claimed^2 - r_reported^2| >= (d/2)^2.
     """
-    if e_r.n != e_n.n:
-        raise InvalidParameterError("matrix dimensions disagree")
-    threshold = (d / 2.0) ** 2
-    keys = sorted(e_r.entries.keys() | e_n.entries.keys())
-    # A pair missing from one structure gets an infinite distance there, so
-    # its gap is infinite and it violates like a one-directional claim.
-    claimed = np.array([e_n.entries.get(k, np.inf) for k in keys])
-    implied = np.array([e_r.entries.get(k, np.inf) for k in keys])
-    mutual = np.array([(j, i) in e_n.entries for (i, j) in keys], dtype=bool)
-    bad = ~mutual | (np.abs(claimed**2 - implied**2) >= threshold)
-    return [keys[t] for t in np.flatnonzero(bad)]
+    bad = _violations(e_r, e_n, d)
+    return list(zip((bad // e_n.n).tolist(), (bad % e_n.n).tolist()))
 
 
 def violation_counts(
     e_r: ReportedDistanceMatrix, e_n: MeasurementSet, d: float
 ) -> dict[int, int]:
     """Per-UAV count of incident violating pairs (0 for clean ids)."""
-    ends = np.array(violating_pairs(e_r, e_n, d), dtype=np.intp).ravel()
+    bad = _violations(e_r, e_n, d)
+    ends = np.concatenate([bad // e_n.n, bad % e_n.n])
     return dict(enumerate(np.bincount(ends, minlength=e_n.n).tolist()))
 
 

@@ -4,9 +4,12 @@
 the loop-per-pair code that measured distances, rewrote attackers' claims
 (one attacker at a time, filtering and re-appending the whole entry map) and
 collected a detection context's evidence; ``reference_reported`` keeps the
-per-pair ``np.linalg.norm`` of the reported-distance matrix.  The library's
-results must equal them exactly: the same floats, the same entry insertion
-order, the same reports and flags.  Row-wise norms, row sums and ``einsum``
+per-pair ``np.linalg.norm`` of the reported-distance matrix, and
+``reference_nlos``, ``reference_collusion_target``, ``reference_adjacency``
+and ``reference_outgoing`` the loops of the discrepancy baseline, the
+default collusion target and the neighbor and source indexes over the
+entries dict.  The library's results must equal them exactly: the same
+floats, the same entry insertion order, the same reports and flags.  Row-wise norms, row sums and ``einsum``
 differ from the per-pair norm in the last bit on about one pair in eight, so
 swarms up to n=240 in cubes of half-width 1e-3 to 5 catch any of them.
 """
@@ -18,9 +21,9 @@ import pytest
 
 import swarmsentry as ss
 from swarmsentry import attacks, seeds
-from swarmsentry.detectors import DetectionContext
+from swarmsentry.detectors import DetectionContext, nlos_baseline
 from swarmsentry.suspects import ReportedDistanceMatrix, build_reported_matrix, initial_suspects, violating_pairs
-from swarmsentry.swarm import DISTANCE_FLOOR
+from swarmsentry.swarm import DISTANCE_FLOOR, InvalidParameterError
 
 KINDS = ("distributed", "collusion", "mixed")
 DIST_VARS = (0.0, 1e-6, 1e-3)
@@ -138,6 +141,58 @@ def reference_evidence(scenario):
                  if not (accusers[k] - discredited - {k}) and k not in accusing_anyone}
     return dict(evidence=evidence, accusers=accusers, conflicting_accusers=conflicting,
                 discredited=discredited, unvouched=unvouched)
+
+
+def reference_nlos(e_r, e_n, m, seed):
+    if m <= 0:
+        return frozenset()
+    scored = []
+    for (i, j), r in e_n.entries.items():
+        gap = abs(r * r - e_r.entries[(i, j)] ** 2) if (i, j) in e_r.entries else np.inf
+        scored.append((-gap, i, j))
+    scored.sort()
+    pool: list[int] = []
+    first_rank: dict[int, int] = {}
+    for rank, (_, i, j) in enumerate(scored, start=1):
+        for v in (i, j):
+            if v not in first_rank:
+                first_rank[v] = rank
+                pool.append(v)
+    if m >= len(pool):
+        return frozenset(pool)
+    weights = np.array([1.0 / first_rank[v] for v in pool])
+    rng = seeds.stream(seed, seeds.NLOS_BASELINE)
+    picked = rng.choice(len(pool), size=m, replace=False, p=weights / weights.sum())
+    return frozenset(pool[int(k)] for k in picked)
+
+
+def reference_adjacency(ms):
+    adj: dict[int, set[int]] = {}
+    for (i, j) in ms.entries:
+        adj.setdefault(i, set()).add(j)
+        adj.setdefault(j, set()).add(i)
+    return {k: frozenset(v) for k, v in adj.items()}
+
+
+def reference_outgoing(ms):
+    out: dict[int, list] = {}
+    for (i, j) in sorted(ms.entries):
+        out.setdefault(i, []).append((i, j, ms.entries[(i, j)]))
+    return {i: tuple(t) for i, t in out.items()}
+
+
+def reference_collusion_target(swarm, measurements, malicious_ids):
+    adjacency = reference_adjacency(measurements)
+    best_id, best_deg = -1, -1
+    for u in swarm.uavs:
+        if u.id in malicious_ids:
+            continue
+        deg = len(adjacency.get(u.id, frozenset()))
+        if deg > best_deg:
+            best_id, best_deg = u.id, deg
+    if best_id < 0:
+        raise InvalidParameterError("no benign UAV available as collusion target")
+    return best_id
 
 
 def honest(n, seed, dist_var, w=0.5):
@@ -258,3 +313,60 @@ def test_violating_pairs_with_keys_the_measurements_lack(kind):
     got = violating_pairs(e_r, ms, d)
     assert got == reference_violating_pairs(e_r, ms, d)
     assert extra in got and missing in got
+
+
+@pytest.mark.parametrize("n, m", ((30, 6), LARGE))
+@pytest.mark.parametrize("kind", KINDS)
+def test_baselines_and_views_match_reference(kind, n, m):
+    for seed in (1, 2, 3):
+        swarm, noise = honest(n, seed, 1e-6)
+        honest_ms = ss.measure_distances(swarm, noise, seed=seed)
+        malicious = attacks.select_malicious(swarm, m, seed)
+        for ids in (malicious, frozenset(), frozenset(range(1, n))):
+            assert (attacks.default_collusion_target(swarm, honest_ms, ids)
+                    == reference_collusion_target(swarm, honest_ms, ids))
+        scen = ss.build_attack(swarm, honest_ms, kind, m, seed=seed, dist_var=1e-6)
+        ms, e_r = scen.measurements, build_reported_matrix(scen)
+        for count in (0, 1, m, n):
+            assert nlos_baseline(e_r, ms, count, seed) == reference_nlos(e_r, ms, count, seed)
+        assert ms.adjacency == reference_adjacency(ms)
+        assert ms.outgoing == reference_outgoing(ms)
+
+
+def test_nlos_ties_and_missing_pairs():
+    # Four claims tie on one gap, two on a zero gap, and (1, 2) has no
+    # reported distance, so its gap is infinite and it ranks first.
+    claims = {(3, 2): 0.5, (4, 5): 0.3, (0, 1): 0.5, (1, 2): 0.2, (5, 4): 0.3, (2, 3): 0.5, (1, 0): 0.5}
+    reported = {(0, 1): 0.4, (1, 0): 0.4, (2, 3): 0.4, (3, 2): 0.4, (4, 5): 0.3, (5, 4): 0.3}
+    e_n, e_r = ss.MeasurementSet(6, claims), ReportedDistanceMatrix(6, reported)
+    for seed in range(6):
+        for count in range(8):   # up to and past the pool's six ids
+            got = nlos_baseline(e_r, e_n, count, seed)
+            assert got == reference_nlos(e_r, e_n, count, seed)
+            assert len(got) == min(count, 6)
+    assert nlos_baseline(e_r, e_n, 2, 0) <= {0, 1, 2}   # (1, 2) first, then (0, 1)
+    assert nlos_baseline(e_r, ss.MeasurementSet(6, {}), 3, 0) == frozenset()
+
+
+def test_collusion_target_ties():
+    swarm, _ = honest(6, 1, 0.0)
+    ring = ss.MeasurementSet(6, {(k, (k + 1) % 6): 0.1 for k in range(6)})   # every degree is 2
+    star = ss.MeasurementSet(6, {(0, 4): 0.1, (4, 0): 0.1, (3, 5): 0.1, (2, 5): 0.1, (4, 1): 0.1})
+    for ms in (ring, star, ss.MeasurementSet(6, {})):
+        for ids in (frozenset(), frozenset({0}), frozenset({0, 1, 4}), frozenset({0, 1, 2, 3, 4})):
+            assert attacks.default_collusion_target(swarm, ms, ids) == reference_collusion_target(swarm, ms, ids)
+        with pytest.raises(InvalidParameterError, match="no benign UAV"):
+            attacks.default_collusion_target(swarm, ms, frozenset(range(6)))
+    assert attacks.default_collusion_target(swarm, star, frozenset({0})) == 4
+
+
+def test_nlos_gaps_squared_as_python_squares():
+    # Python's ``x ** 2`` and numpy's ``x * x`` differ in the last bit for
+    # this x: with ``**`` the two gaps tie and (0, 1) ranks first, with
+    # ``x * x`` (2, 3) would.
+    x, r_a, y, r_b = 0.14518749997824568, 0.21778124996736853, 0.17439656210487275, 0.23825075773523807
+    assert abs(r_a * r_a - x ** 2) == abs(r_b * r_b - y ** 2) != abs(r_a * r_a - x * x)
+    e_n = ss.MeasurementSet(4, {(2, 3): r_a, (0, 1): r_b})
+    e_r = ReportedDistanceMatrix(4, {(2, 3): x, (0, 1): y})
+    picks = [nlos_baseline(e_r, e_n, 1, seed) for seed in range(8)]
+    assert picks == [reference_nlos(e_r, e_n, 1, seed) for seed in range(8)]

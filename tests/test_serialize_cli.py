@@ -207,6 +207,26 @@ class TestCli:
         scen_path.write_text(json.dumps(data))
         assert run_cli("detect", str(scen_path)) == 2
 
+    @pytest.mark.parametrize("at", [1, -1])
+    def test_detect_rejects_repeated_measurement_pair(self, tmp_path, capsys, at):
+        # A repeated pair used to decode silently, keeping only its last claim.
+        data = serialize.load_path(str(DATA / "scenario_n30_mixed.json"))
+        entries = data["measurements"]["entries"]
+        i, j, r = entries[0]
+        entries.insert(len(entries) if at < 0 else at, [i, j, r * 1.25])
+        with pytest.raises(ss.InvalidParameterError, match=rf"^repeated measurement pair \({i}, {j}\)$"):
+            serialize.scenario_from_dict(data)
+        scen_path = tmp_path / "scenario.json"
+        scen_path.write_text(json.dumps(data))
+        assert run_cli("detect", str(scen_path)) == 2
+        assert f"repeated measurement pair ({i}, {j})" in capsys.readouterr().err
+
+    def test_repeated_pair_named_in_entry_order(self):
+        with pytest.raises(ss.InvalidParameterError, match=r"^repeated measurement pair \(2, 0\)$"):
+            ss.MeasurementSet.from_arrays(3, [2, 0, 1, 2, 0], [0, 1, 2, 0, 1], [0.1, 0.2, 0.3, 0.4, 0.5])
+        with pytest.raises(ss.InvalidParameterError, match=r"^bad measurement pair \(1, 1\)$"):
+            ss.MeasurementSet.from_arrays(3, [2, 1, 2], [0, 1, 0], [0.1, 0.2, 0.3])
+
     def test_attack_rejects_measurements_of_another_swarm(self, tmp_path):
         small, large = tmp_path / "n10.json", tmp_path / "n12.json"
         assert run_cli("generate", "--n", "10", "--seed", "1", "--out", str(small)) == 0

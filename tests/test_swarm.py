@@ -214,8 +214,9 @@ class TestMeasurementValidation:
         ({(np.int64(0), np.int64(1)): 0.2, (np.int32(2), np.int32(2)): 0.1}, "bad measurement pair (2, 2)"),
         ({(np.int64(0), np.int64(1)): 0.2, (np.intp(1), np.intp(5)): 0.1}, "bad measurement pair (1, 5)"),
         ({(np.int64(0), np.int64(1)): np.float64("nan")}, "measurement (0, 1) must be positive and finite, got nan"),
+        ({(0, 1): 0.2, (2**70, 1): 0.1, (1, 0): 0.0}, f"bad measurement pair ({2**70}, 1)"),
     ], ids=["nan", "inf", "negative", "zero", "self-pair", "out-of-range", "negative-id",
-            "numpy-self-pair", "numpy-out-of-range", "numpy-nan"])
+            "numpy-self-pair", "numpy-out-of-range", "numpy-nan", "beyond-int64"])
     def test_first_bad_entry_named(self, entries, message):
         with pytest.raises(InvalidParameterError) as built:
             ss.MeasurementSet(3, entries)

@@ -56,6 +56,46 @@ def test_dumps_matches_json_dumps(tree):
     assert serialize.dumps(tree) == reference(tree)
 
 
+# Lists of flat records, which the writer indents in one pass over their
+# compact text: keys from ``text`` (many need escaping or hold punctuation,
+# and send the list down the general path) or plain names; values numbers,
+# literals, extreme floats, flat number lists, [] and {}; records with their
+# own key sets or one shared set.
+record_keys = text | st.sampled_from(["id", "true_pos", "reported_pos", "malicious", "a b", "x.y", "", "1"])
+record_values = st.one_of(numbers, st.sampled_from([-0.0, 5e-324, 1e308, -1e308]), st.lists(numbers, max_size=4),
+                          st.just([]), st.just({}))
+record_lists = st.one_of(
+    st.lists(st.dictionaries(record_keys, record_values, max_size=4), min_size=1, max_size=4),
+    st.lists(record_keys, max_size=4).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({k: record_values for k in keys}), min_size=1, max_size=4)),
+)
+
+
+@given(record_lists, st.integers(0, 2))
+@settings(max_examples=100, deadline=None)
+def test_dumps_flat_records_match_json_dumps(records, depth):
+    tree = records
+    for _ in range(depth):
+        tree = {"k": tree}
+    assert serialize.dumps(tree) == reference(tree)
+
+
+@pytest.mark.parametrize("tree", [
+    [{"a": 1}], [{}], [{}, {"a": []}], [{"a": {}}, {}], [{"a": [1, {}]}], [{"a": [{}]}], [{"a": [[1]]}],
+    [{"a": [1, [2]]}], [{"a": "x"}], [{"a": ["x"]}], [{"a": [1, "x"]}], [{"a": {"b": 1}}], [{"a": 1}, 2],
+    [{"a": 1}, [2]], [{"a:b": 1}], [{":a": 1}], [{"a,": 1}], [{"a{": [1]}], [{'a"': 1}], [{"é": 1}],
+    [{"\x7f": 1}], [{1: 2}], [{"a": 1, "b": [True, None, -0.0, 5e-324]}, {"b": [], "c": 1e308}],
+    ({"a": 1}, {"a": 2}), {"k": [{"a": [1, 2]}, {"b": {}}]},
+])
+def test_dumps_record_shapes(tree):
+    assert serialize.dumps(tree) == reference(tree)
+
+
+def test_uav_records_take_the_record_path():
+    uavs = serialize.swarm_to_dict(ss.generate_swarm(4, 0.5, 0.3, seed=1))["uavs"]
+    assert serialize._flat_records(uavs, serialize._compact(uavs))
+
+
 @pytest.mark.parametrize("tree", [
     [], {}, [[]], [[], [1]], [[1], []], [[1], 2], [1, [2]], [[1, [2]], [3]], [[[1]]], [[1], [[2]]],
     [[1, 2], [3]], [[{}], [1]], [{}], {"a": [["x", 1], [2]]}, {"k": '],[{"x": 1}],['}, ["a,b", "]"],
