@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -47,38 +48,52 @@ def swarm_to_dict(swarm: Swarm) -> dict:
     }
 
 
+_NUMBER, _INTEGER, _BOOLEAN = frozenset({int, float}), frozenset({int}), frozenset({bool})
+
+
+def _typed(values: list, types: frozenset, rule: str) -> list:
+    """``values`` as decoded, when each one's exact type is in ``types``.
+    JSON values are never converted: ``float`` and ``int`` would read "0.3"
+    and true as numbers and 6.7 as 6, and ``bool`` "false" as true."""
+    if not {*map(type, values)} <= types:
+        raise InvalidParameterError(f"{rule}, got {next(v for v in values if type(v) not in types)!r}")
+    return values
+
+
 @_decoder
 def swarm_from_dict(data: dict) -> Swarm:
     uavs = data["uavs"]
+    true, reported = [u["true_pos"] for u in uavs], [u["reported_pos"] for u in uavs]
+    _typed([*chain.from_iterable(true + reported)], _NUMBER, "UAV positions must hold JSON numbers")
+    comm_range, half_width = _typed([data["comm_range"], data.get("cube_half_width", 0.5)], _NUMBER,
+                                    "comm_range and cube_half_width must be JSON numbers")
     return Swarm(
         # Ids as decoded: ``Swarm`` rejects any id that is not an integer.
         uavs=_uavs_from_rows(
-            [u["id"] for u in uavs],
-            [u["true_pos"] for u in uavs],
-            [u["reported_pos"] for u in uavs],
-            [bool(u.get("malicious", False)) for u in uavs],
+            [u["id"] for u in uavs], true, reported,
+            _typed([u.get("malicious", False) for u in uavs], _BOOLEAN, "malicious must be a JSON boolean"),
         ),
-        comm_range=float(data["comm_range"]),
-        cube_half_width=float(data.get("cube_half_width", 0.5)),
-        rng_seed=int(data.get("rng_seed", 0)),
+        comm_range=float(comm_range),
+        cube_half_width=float(half_width),
+        rng_seed=_typed([data.get("rng_seed", 0)], _INTEGER, "rng_seed must be a JSON integer")[0],
     )
 
 
 def measurements_to_dict(ms: MeasurementSet) -> dict:
-    return {
-        "n": ms.n,
-        "entries": list(map(list, ms.directed_pairs())),
-    }
+    o = ms.order
+    # One object array holds the Python ints and floats of every row.
+    return {"n": ms.n, "entries": np.stack([ms.src[o], ms.dst[o], ms.r[o]], axis=1, dtype=object).tolist()}
 
 
 @_decoder
 def measurements_from_dict(data: dict) -> MeasurementSet:
-    n, rows = int(data["n"]), data["entries"]
+    n, rows = _typed([data["n"]], _INTEGER, "n must be a JSON integer")[0], data["entries"]
     if rows and set(map(len, rows)) != {3}:
         raise ValueError("each entry must be an [i, j, r] row")
-    src, dst, r = zip(*rows) if rows else ((), (), ())
+    items = [*chain.from_iterable(rows)]
+    r = _typed(items[2::3], _NUMBER, "measured distances must be JSON numbers")
     # Ids pass as decoded: ``MeasurementSet`` rejects any that is not an integer.
-    return MeasurementSet.from_arrays(n, src, dst, np.fromiter(map(float, r), dtype=float, count=len(r)))
+    return MeasurementSet.from_arrays(n, items[0::3], items[1::3], np.array(r, dtype=float))
 
 
 def plan_to_dict(plan: AttackPlan | None) -> dict | None:
@@ -102,8 +117,9 @@ def plan_from_dict(data: dict | None) -> AttackPlan | None:
     return AttackPlan(
         kind=data["kind"],
         malicious_ids=frozenset(data["malicious_ids"]),
-        seed=int(data["seed"]),
-        fake_offset_min=data.get("fake_offset_min"),
+        seed=_typed([data["seed"]], _INTEGER, "the plan's seed must be a JSON integer")[0],
+        fake_offset_min=_typed([data.get("fake_offset_min")], _NUMBER | {type(None)},
+                               "the plan's fake_offset_min must be a JSON number or null")[0],
         target=data.get("target"),
         distributed_ids=frozenset(data["distributed_ids"]) if data.get("distributed_ids") is not None else None,
         collusion_ids=frozenset(data["collusion_ids"]) if data.get("collusion_ids") is not None else None,
@@ -233,9 +249,9 @@ def detection_to_dict(result: DetectionResult, initial: SuspectSets | None = Non
 def dumps(data: dict) -> str:
     """Canonical JSON text: sorted keys, stable float repr, trailing newline.
 
-    Byte-identical to ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``,
-    which runs json's pure-Python encoder (any indent does); lists go to the
-    C encoder here.  NaN and infinities raise InvalidParameterError.
+    Byte-identical to ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``
+    (pure-Python json, as any indent is).  Tables take one %-format (_table)
+    and other lists the C encoder; NaN and infinities raise InvalidParameterError.
     """
     try:
         return _encode(data, "\n") + "\n"
@@ -257,61 +273,61 @@ def _encode(value, newline: str) -> str:
         return "{" + ",".join(f"{inner}{_key(k)}: {_encode(v, inner)}" for k, v in items) + newline + "}"
     if isinstance(value, str):
         return json.encoder.encode_basestring_ascii(value)
+    if type(value) is list and value and (rows := _table(value, inner)) is not None:
+        return "[" + rows + newline + "]"
     text = _compact(value)
     if not isinstance(value, (list, tuple)) or text == "[]":
         return text
-    if '"' not in text:
-        # No strings (so no non-empty dicts): every token is a number, a
-        # literal or {}, and a flat list or a list of non-empty flat rows is
-        # indented by replacing its punctuation.
-        if "[" not in text[1:]:
-            return "[" + inner + text[1:-1].replace(",", "," + inner) + newline + "]"
-        rows = text[2:-2]
-        if text[1] == "[" and text[-2] == "]" and "[]" not in text and "[" not in rows.replace("],[", ""):
-            row = inner + "  "
-            rows = rows.replace(",", "," + row).replace("]," + row + "[", inner + "]," + inner + "[" + row)
-            return "[" + inner + "[" + row + rows + inner + "]" + newline + "]"
-    elif _flat_records(value, text):
-        return _indent_records(text, newline)
+    if '"' not in text and "[" not in text[1:]:
+        # A flat list of numbers, literals and {}: indented at its commas.
+        return "[" + inner + text[1:-1].replace(",", "," + inner) + newline + "]"
     return "[" + ",".join(inner + _encode(v, inner) for v in value) + newline + "]"
 
 
-# Key characters that need escaping or would be taken for punctuation.
-_UNSAFE_KEY_CHARS = frozenset('"\\[]{},:')
-
-
-def _flat_records(value, text: str) -> bool:
-    """Whether the list ``value``, whose compact JSON is ``text``, holds
-    only flat records: dicts whose keys are strings json writes verbatim
-    (printable ASCII, no punctuation of ``text``) and whose values are
-    numbers, literals, ``{}`` or lists of numbers and literals."""
-    if not all(type(v) is dict for v in value):
-        return False
-    if not all(type(k) is str and k.isascii() and k.isprintable() and _UNSAFE_KEY_CHARS.isdisjoint(k)
-               for k in set().union(*value)):
-        return False
-    # Every quote now delimits a string, and keys need no escaping.  A string
-    # value or list item ends in a quote followed by , ] or }; a non-empty
-    # dict value starts :{"; a dict item of a list follows [ or a comma that
-    # does not end a record; a list item of a list follows [ or a comma.
-    return not ('",' in text or '"]' in text or '"}' in text or ':{"' in text or "[{" in text[1:]
-                or "[[" in text or ",[" in text or text.count(",{") != text.count("},{"))
-
-
-def _indent_records(text: str, newline: str) -> str:
-    """The indented form of ``text``, the compact JSON of a list of flat
-    records (``_flat_records``), made by replacing its punctuation."""
-    record, key, item = newline + "  ", newline + "    ", newline + "      "
-    # Empty lists and dicts stay as they are: set them aside as control
-    # characters, which compact JSON never holds.
-    body = text[1:-1].replace("[]", "\0").replace("{}", "\1")
-    body = body.replace("{", "{" + key).replace("}", record + "}").replace("[", "[" + item).replace("]", key + "]")
-    # A comma before a quote separates keys, one before a record separates
-    # records; any other separates list items.
-    body = body.replace(',"', "\2").replace(",{", "\3").replace(",\1", "\4").replace(",", "," + item)
-    body = body.replace("\2", "," + key + '"').replace("\3", "," + record + "{").replace("\4", "," + record + "\1")
-    body = body.replace('":', '": ').replace("\0", "[]").replace("\1", "{}")
-    return "[" + record + body + newline + "]"
+def _table(value: list, inner: str) -> str | None:
+    """The items of ``value`` as indented JSON lines when ``value`` is a
+    table: rows (lists of one length) or records (dicts with one key set)
+    whose every column holds exact ints and floats, bools, or lists of
+    one length of ints and floats (the measurement entries and the UAV list).
+    One %-format of a repeated row template writes them: %r writes a number
+    as json does.  None for any other list, and when the text holds an n, as
+    "inf" and "nan" do: the per-item path then refuses them."""
+    first, kinds = value[0], {*map(type, value)}
+    # ``flat`` holds the cells row by row.
+    if kinds == {list} and first and len({*map(len, value)}) == 1:
+        heads, brackets, flat = [""] * len(first), "[]", [*chain.from_iterable(value)]
+    elif kinds == {dict} and first and all(r.keys() == first.keys() for r in value):
+        keys = sorted(first)
+        heads, brackets = [_key(k).replace("%", "%%") + ": " for k in keys], "{}"
+        flat = [r[k] for r in value for k in keys]
+    else:
+        return None
+    field, item = inner + "  ", inner + "    "
+    parts, leaves = [], []
+    for t in range(len(heads)):
+        column = flat[t::len(heads)]
+        types = {*map(type, column)}
+        if types <= _NUMBER:
+            parts.append("%r")
+            leaves.append(column)
+        elif types == {bool}:
+            parts.append("%s")
+            leaves.append(["true" if b else "false" for b in column])
+        elif types == {list} and column[0] and len({*map(len, column)}) == 1:
+            width, numbers = len(column[0]), [*chain.from_iterable(column)]
+            if not {*map(type, numbers)} <= _NUMBER:
+                return None
+            parts.append("[" + item + ("," + item).join(["%r"] * width) + field + "]")
+            leaves += [numbers[i::width] for i in range(width)]
+        else:
+            return None
+    # One cell per leaf, row by row.
+    cells = [None] * (len(value) * len(leaves))
+    for t, leaf in enumerate(leaves):
+        cells[t::len(leaves)] = leaf
+    row = inner + brackets[0] + ",".join(field + h + p for h, p in zip(heads, parts)) + inner + brackets[1]
+    text = ",".join([row] * len(value)) % tuple(cells)
+    return None if "n" in text else text
 
 
 def _key(key) -> str:

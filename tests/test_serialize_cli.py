@@ -84,6 +84,73 @@ class TestDumps:
         assert json.loads(serialize.dumps(data)) == data
 
 
+def set_in(data, path, value):
+    """``data`` with the item at ``path`` (a tuple of keys and indices) set to ``value``."""
+    *parents, last = path
+    for key in parents:
+        data = data[key]
+    data[last] = value
+
+
+class TestDecoderTypes:
+    """The scenario decoders take JSON values as parsed: a flag must be a
+    JSON boolean, a count or seed a JSON integer and a distance, position
+    or length a JSON number.  ``bool``, ``int`` or ``float`` would read a
+    string, a bool or a fraction as some other value without a word."""
+
+    @pytest.mark.parametrize("path, value", [
+        (("swarm", "uavs", 4, "malicious"), "false"),
+        (("swarm", "uavs", 4, "malicious"), 0),
+        (("swarm", "uavs", 4, "malicious"), None),
+        (("measurements", "n"), 6.7),
+        (("measurements", "n"), 30.0),
+        (("measurements", "n"), True),
+        (("swarm", "rng_seed"), 1.5),
+        (("swarm", "rng_seed"), "3"),
+        (("swarm", "comm_range"), "0.3"),
+        (("swarm", "comm_range"), True),
+        (("swarm", "cube_half_width"), "0.5"),
+        (("measurements", "entries", 7, 2), "0.1"),
+        (("measurements", "entries", 7, 2), True),
+        (("measurements", "entries", 7, 2), None),
+        (("swarm", "uavs", 2, "true_pos", 1), "0.1"),
+        (("swarm", "uavs", 2, "reported_pos", 0), "0.1"),
+        (("swarm", "uavs", 2, "reported_pos", 2), False),
+        (("plan", "seed"), 3.5),
+        (("plan", "fake_offset_min"), "0.3"),
+    ])
+    def test_mistyped_value_refused(self, path, value):
+        data = serialize.load_path(str(DATA / "scenario_n30_distributed.json"))
+        set_in(data, path, value)
+        with pytest.raises(ss.InvalidParameterError, match=f"got {value!r}"):
+            serialize.scenario_from_dict(data)
+
+    def test_string_flag_not_read_as_malicious(self, tmp_path):
+        # Without a plan, "false" used to flag a UAV malicious and put it in truth().
+        data = serialize.load_path(str(DATA / "scenario_n30_distributed.json"))
+        data["plan"] = None
+        honest = next(u for u in data["swarm"]["uavs"] if not u["malicious"])
+        honest["malicious"] = "false"
+        with pytest.raises(ss.InvalidParameterError, match="malicious must be a JSON boolean"):
+            serialize.scenario_from_dict(data)
+        scen_path = tmp_path / "scenario.json"
+        scen_path.write_text(json.dumps(data))
+        assert run_cli("detect", str(scen_path)) == 2
+
+    def test_json_values_still_read(self):
+        # An absent flag is honest, and a JSON integer distance or length reads as a float.
+        data = serialize.load_path(str(DATA / "scenario_n30_distributed.json"))
+        data["plan"] = None
+        del data["swarm"]["uavs"][0]["malicious"]
+        data["swarm"]["comm_range"] = 1
+        i, j, _ = data["measurements"]["entries"][0]
+        data["measurements"]["entries"][0][2] = 2
+        scenario = serialize.scenario_from_dict(data)
+        assert scenario.swarm.uavs[0].ground_truth_malicious is False
+        assert scenario.swarm.comm_range == 1.0 and type(scenario.swarm.comm_range) is float
+        assert scenario.measurements.get(i, j) == 2.0 and type(scenario.measurements.get(i, j)) is float
+
+
 class TestCli:
     def test_pipeline(self, tmp_path):
         swarm_path = tmp_path / "swarm.json"

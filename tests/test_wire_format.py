@@ -1,7 +1,9 @@
 """The JSON writer and the CLI's wire format.
 
-``serialize.dumps`` indents the C encoder's compact text instead of calling
-``json.dumps(indent=2)``; its output must stay byte-identical to that call.
+``serialize.dumps`` does not call ``json.dumps(indent=2)``: it writes a
+table (rows or records of one shape) with one %-format and indents the C
+encoder's compact text of a flat list.  Its output must stay byte-identical
+to that call.
 The files in ``tests/data`` were written by the CLI before the writer
 changed (``generate --n 30 --seed 3``; ``attack --kind <kind> --seed 3`` on
 that swarm; default ``detect`` on the mixed scenario; ``oracle-check --dump``
@@ -56,12 +58,13 @@ def test_dumps_matches_json_dumps(tree):
     assert serialize.dumps(tree) == reference(tree)
 
 
-# Lists of flat records, which the writer indents in one pass over their
-# compact text: keys from ``text`` (many need escaping or hold punctuation,
-# and send the list down the general path) or plain names; values numbers,
-# literals, extreme floats, flat number lists, [] and {}; records with their
-# own key sets or one shared set.
-record_keys = text | st.sampled_from(["id", "true_pos", "reported_pos", "malicious", "a b", "x.y", "", "1"])
+# Lists of flat records, which the writer formats in one go when they share
+# one key set and every column holds numbers, bools or number lists of one
+# length: keys from ``text`` (many need escaping or hold punctuation) or plain
+# names, some with % or n; values numbers, literals, extreme floats, flat
+# number lists, [] and {}; records with their own key sets or one shared set.
+record_keys = text | st.sampled_from(["id", "true_pos", "reported_pos", "malicious", "a b", "x.y", "", "1",
+                                      "%r", "50%", "nan"])
 record_values = st.one_of(numbers, st.sampled_from([-0.0, 5e-324, 1e308, -1e308]), st.lists(numbers, max_size=4),
                           st.just([]), st.just({}))
 record_lists = st.one_of(
@@ -86,14 +89,69 @@ def test_dumps_flat_records_match_json_dumps(records, depth):
     [{"a": 1}, [2]], [{"a:b": 1}], [{":a": 1}], [{"a,": 1}], [{"a{": [1]}], [{'a"': 1}], [{"é": 1}],
     [{"\x7f": 1}], [{1: 2}], [{"a": 1, "b": [True, None, -0.0, 5e-324]}, {"b": [], "c": 1e308}],
     ({"a": 1}, {"a": 2}), {"k": [{"a": [1, 2]}, {"b": {}}]},
+    [{"a": [1, 2]}, {"a": [3]}, {"a": [4, 5, 6]}], [{"a": [1]}, {"a": [2, 3]}],
+    [{"a": True, "b": [0.5]}, {"a": False, "b": [1]}],
+    [{"a%s": 1, "%r": 2.5}, {"a%s": 3, "%r": -0.0}], [{"n": 1}, {"n": 2}],
 ])
 def test_dumps_record_shapes(tree):
     assert serialize.dumps(tree) == reference(tree)
 
 
-def test_uav_records_take_the_record_path():
-    uavs = serialize.swarm_to_dict(ss.generate_swarm(4, 0.5, 0.3, seed=1))["uavs"]
-    assert serialize._flat_records(uavs, serialize._compact(uavs))
+# Lists of equal-width rows, which the writer formats in one go when every
+# column holds exact ints and floats, bools, or number lists of one length:
+# ints beyond int64, extreme floats, and columns that mix them; strays
+# (bools, None, numpy floats, nested lists) mixed into a column, and lists
+# of tuples, ragged rows or empty rows, which go item by item.
+row_ints = st.integers() | st.integers(2**63, 2**100) | st.integers(-2**100, -2**63 - 1)
+row_floats = finite | st.sampled_from([-0.0, 5e-324, 1e308, -1e308])
+row_strays = st.booleans() | st.none() | finite.map(np.float64) | st.lists(row_ints, max_size=2)
+row_columns = st.sampled_from([row_ints, row_floats, row_ints | row_floats, row_ints | row_floats | row_strays,
+                               st.booleans(), st.lists(row_ints | row_floats, min_size=2, max_size=2)])
+
+
+@st.composite
+def row_lists(draw):
+    columns = draw(st.lists(row_columns, min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*columns).map(list), min_size=1, max_size=6))
+    spoil = draw(st.sampled_from(["none", "none", "tuple", "ragged", "empty"]))
+    k = draw(st.integers(0, len(rows) - 1))
+    if spoil == "tuple":
+        rows[k] = tuple(rows[k])
+    elif spoil == "ragged":
+        rows[k] = rows[k][:-1] if draw(st.booleans()) else rows[k] + [0]
+    elif spoil == "empty":
+        rows = [[]] * len(rows) if draw(st.booleans()) else rows[:k] + [[]] + rows[k:]
+    return rows
+
+
+@given(row_lists(), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_dumps_rows_match_json_dumps(rows, depth):
+    tree = rows
+    for _ in range(depth):
+        tree = {"k": tree}
+    assert serialize.dumps(tree) == reference(tree)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_number_rows_reject_non_finite(bad, column):
+    rows = [[0, 1, 0.25], [1, 0, 0.5], [2, 1, 1e308]]
+    rows[1][column] = bad
+    with pytest.raises(ss.InvalidParameterError):
+        serialize.dumps({"entries": rows})
+
+
+@pytest.mark.parametrize("table", ["uavs", "entries"])
+def test_scenario_tables_take_the_format_path(table, monkeypatch):
+    swarm = ss.generate_swarm(30, 0.5, 0.3, seed=1)
+    swarm = ss.Swarm(tuple(ss.Uav(u.id, u.true_pos, u.reported_pos, u.id % 7 == 0) for u in swarm.uavs),
+                     swarm.comm_range, swarm.cube_half_width, swarm.rng_seed)
+    rows = {"uavs": serialize.swarm_to_dict(swarm)["uavs"],
+            "entries": serialize.measurements_to_dict(ss.measure_distances(swarm, ss.NoiseParams(), seed=1))["entries"]}
+    expected = reference(rows[table])
+    monkeypatch.setattr(serialize, "_compact", None)   # the C encoder is not called
+    assert serialize.dumps(rows[table]) == expected
 
 
 @pytest.mark.parametrize("tree", [
@@ -101,6 +159,7 @@ def test_uav_records_take_the_record_path():
     [[1, 2], [3]], [[{}], [1]], [{}], {"a": [["x", 1], [2]]}, {"k": '],[{"x": 1}],['}, ["a,b", "]"],
     [["x,y", 1], [2]], [[1, "],["], [2]],
     {"a": [[1.5e-300, -0.0, True, None, 10**30]]}, {1: [2], 3: {"b": ()}},
+    [[[1, 2], 0], [[3], 1], [[4, 5, 6], 2]], [[True, 1], [False, 2.5]], [[1, None], [2, 3]],
 ])
 def test_dumps_edge_shapes(tree):
     assert serialize.dumps(tree) == reference(tree)
