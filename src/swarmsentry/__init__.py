@@ -36,7 +36,6 @@ from .sdp import (
     OracleResult,
     assemble,
     check_feasibility,
-    lift_positions,
     pair_constraint_matrix,
 )
 from .detectors import (

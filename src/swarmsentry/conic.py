@@ -25,10 +25,11 @@ core, which ``sdp.check_feasibility`` (one assembled sub-network) and
 * the node loop, ``refine_witness``, starts from each node's own report
   with its best Gram surplus, and gives every node that misses the
   tolerance, worst first, one deterministic primal-dual interior-point
-  solve on its five variables (``solve_node``, Mehrotra predictor-corrector
-  steps).  The solve starts at the report, its residuals sized by the
-  report's own slack rather than the data's scale, and that report's
-  evaluation is its first upper bound.  Each iterate's position, evaluated
+  solve of its one-node family (``CompiledConstraints.node``) on five
+  variables (``solve_node``, Mehrotra predictor-corrector steps).  The
+  solve starts at the report, its residuals sized by the report's own
+  slack rather than the data's scale, and that report's evaluation is its
+  first upper bound.  Each iterate's position, evaluated
   exactly, is an upper bound; its normalized multipliers, fed to the
   node's closed-form Lagrange dual, are a lower bound.  The solve stops at
   the first point that certifies its verdict, usually within two or three
@@ -55,7 +56,6 @@ decisions.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -133,6 +133,25 @@ class CompiledConstraints:
         )
 
 
+def acceptance_window(comm_range: float) -> float:
+    """The acceptance window w = (d/2)^2 of a swarm of communication range d:
+    how far a claimed squared distance may sit from the squared distance
+    between reports.  The suspect screen, the detectors' conflicting
+    testimony and every feasibility check of a scenario take it from here."""
+    return (comm_range / 2.0) ** 2
+
+
+def claim_bounds(r, comm_range: float, delta: float, window_sq: float):
+    """The bounds a claimed distance ``r`` (a float or an array) puts on its
+    pair functional: range upper d^2 - delta, window upper r^2 + w - delta and
+    window lower r^2 - w + delta, for range d, strictness margin delta and
+    window w.  The functional's upper bound is the smaller of the two upper
+    ones.  ``compile_constraints`` and the constraint dump
+    (``serialize.problem_dump``) both take them from here."""
+    sq = r * r
+    return comm_range**2 - delta, sq + window_sq - delta, sq - window_sq + delta
+
+
 def compile_constraints(
     positions: np.ndarray,
     pairs: list[tuple[int, int, float]] | np.ndarray,
@@ -141,21 +160,21 @@ def compile_constraints(
     delta: float,
     window_sq: float,
 ) -> CompiledConstraints:
-    """Build the slab family: range and window bounds per measured pair, a
-    displacement bound per node.  ``pairs`` holds (i, j, r) rows: triplets
-    or a (p, 3) array."""
+    """Build the slab family: the bounds of ``claim_bounds`` per measured
+    pair, a displacement bound per node.  ``pairs`` holds (i, j, r) rows:
+    triplets or a (p, 3) array."""
     positions = np.asarray(positions, dtype=float)
     n = len(positions)
     cols = np.array(pairs, dtype=float).reshape(-1, 3)
     i, j, r = cols[:, 0].astype(int), cols[:, 1].astype(int), cols[:, 2]
-    pair_hi = np.minimum(comm_range**2 - delta, r * r + window_sq - delta)
+    range_upper, window_upper, window_lower = claim_bounds(r, comm_range, delta, window_sq)
     return CompiledConstraints(
         n=n,
         positions=positions,
         owner=np.concatenate([i, np.arange(n)]),
         anchor=np.concatenate([positions[j], positions]),
-        hi=np.concatenate([pair_hi, np.full(n, float(epsilon))]),
-        lo=np.concatenate([r * r - window_sq + delta, np.full(n, -np.inf)]),
+        hi=np.concatenate([np.minimum(range_upper, window_upper), np.full(n, float(epsilon))]),
+        lo=np.concatenate([window_lower, np.full(n, -np.inf)]),
         epsilon=epsilon,
         n_pairs=len(pairs),
     )
@@ -604,21 +623,21 @@ def retract(cons: CompiledConstraints, witness: WitnessResult, target: float) ->
 
 
 def refine_witness(
-    node: Callable[[int], CompiledConstraints], witness: WitnessResult, tol_feas: float, tol_infeas: float,
+    cons: CompiledConstraints, witness: WitnessResult, tol_feas: float, tol_infeas: float,
     iterations: list | None = None,
 ) -> dict[int, float]:
     """The oracle's node loop: replace, worst first, every node entry of
-    ``witness`` that misses ``tol_feas`` with its node solve (``solve_node``,
+    ``witness``, a witness of the family ``cons``, that misses ``tol_feas``
+    with the solve of its one-node family ``cons.node(i)`` (``solve_node``,
     unretracted), and return each solved node's lower bound by local index.
     The first node whose lower bound reaches ``tol_infeas`` ends the loop.
-    ``node(i)`` gives entry ``i``'s one-node family, once per solve.
     ``iterations``, when given, receives each solve's step count.
     """
     lowers: dict[int, float] = {}
     for i in np.argsort(-witness.node_slack, kind="stable").tolist():
         if witness.node_slack[i] <= tol_feas:
             break
-        found, lowers[i] = solve_node(node(i), tol_feas, tol_infeas, iterations)
+        found, lowers[i] = solve_node(cons.node(i), tol_feas, tol_infeas, iterations)
         witness.put(i, found)
         if lowers[i] >= tol_infeas:
             break

@@ -23,7 +23,7 @@ from itertools import repeat
 
 import numpy as np
 
-from . import sdp, seeds
+from . import conic, sdp, seeds
 from .attacks import AttackedScenario
 from .suspects import (
     ReportedDistanceMatrix,
@@ -32,7 +32,7 @@ from .suspects import (
     partition,
     violation_counts,
 )
-from .swarm import InvalidParameterError, MeasurementSet, neighbor_set
+from .swarm import InvalidParameterError, MeasurementSet, _is_id, neighbor_set
 from .validation import check_partition, check_scenario
 
 CDI = "cdi"
@@ -98,7 +98,7 @@ class DetectionContext:
         # be cleared.  Borderline range pairs (honest noise tails) stay below
         # the window and do not count.
         d = scenario.swarm.comm_range
-        window = (d / 2.0) ** 2
+        window = conic.acceptance_window(d)
         pos = scenario.swarm.reported_positions()
         gap_sq = ((pos[claimant] - pos[subject]) ** 2).sum(axis=1)
         conflict = (gap_sq >= d * d + window) | (np.abs(r * r - gap_sq) >= window)
@@ -326,9 +326,10 @@ def detect(
     """Run one named algorithm on a scenario from its initial partition.
 
     The feasibility detectors take ``options``; the sampling baselines need
-    the true attacker count and draw from ``seed``.  A ``context`` built for
-    this scenario and these options is shared with the other runs given it
-    (its reported-distance matrix serves the discrepancy baseline too).
+    the true attacker count, a nonnegative integer, and draw from ``seed``.
+    A ``context`` built for this scenario and these options is shared with
+    the other runs given it (its reported-distance matrix serves the
+    discrepancy baseline too).
     """
     if algo == CDI:
         return cdi(initial, scenario, options, context=context)
@@ -338,6 +339,8 @@ def detect(
         raise InvalidParameterError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
     if malicious_count is None:
         raise InvalidParameterError(f"the {algo} baseline needs the true attacker count")
+    if not _is_id(malicious_count) or malicious_count < 0:
+        raise InvalidParameterError(f"the attacker count must be a nonnegative integer, got {malicious_count!r}")
     if algo == NLOS:
         e_r = build_reported_matrix(scenario) if context is None else context.serves(scenario, options).reported
         picked = nlos_baseline(e_r, scenario.measurements, malicious_count, seed)

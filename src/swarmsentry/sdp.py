@@ -24,8 +24,6 @@ from .swarm import InvalidParameterError, _is_id
 if TYPE_CHECKING:
     from .detectors import DetectorOptions
 
-lift_positions = conic.complete_lift
-
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNKNOWN = "unknown"
@@ -162,7 +160,7 @@ def _uav_ids(sub_ids, n: int) -> np.ndarray:
 def _settings(comm_range: float, paper_replication: bool) -> tuple[float, float, float]:
     """The displacement budget, strictness margin and acceptance window of
     every check on a scenario of this range."""
-    return default_epsilon(paper_replication), DEFAULT_DELTA, (comm_range / 2.0) ** 2
+    return default_epsilon(paper_replication), DEFAULT_DELTA, conic.acceptance_window(comm_range)
 
 
 def assemble(sub_ids, scenario: AttackedScenario, paper_replication: bool = False) -> FeasibilityProblem:
@@ -227,7 +225,7 @@ def check_feasibility(problem: FeasibilityProblem, opts: OracleOptions | None = 
     lower = conic.pairwise_slack_bound(cons)
     witness = conic.evaluate_witness(cons, cons.positions.copy())
     if lower < opts.tol_infeas:
-        solved = conic.refine_witness(cons.node, witness, opts.tol_feas, opts.tol_infeas)
+        solved = conic.refine_witness(cons, witness, opts.tol_feas, opts.tol_infeas)
         lower = max([lower, *solved.values()])
         for i in solved:
             witness.put(i, conic.retract(cons.node(i), witness.entry(i), min(opts.tol_feas, 0.0)))
@@ -298,7 +296,8 @@ class ScenarioOracle:
       it that ended within ``tol_feas``, whatever its counterparts were
       then) when that point's exact slack is within ``tol_feas``, and kept
       as (that slack, -inf); the nodes it does not settle go through
-      ``conic.refine_witness`` together, and keep the bounds of their solve.
+      ``conic.refine_witness`` together, as one family of their present
+      rows, and keep the bounds of their solve.
 
     A kept point within ``tol_feas`` proves the node's optimum is too, so no
     valid lower bound of it reaches ``tol_infeas``: it settles the node as
@@ -422,13 +421,8 @@ class ScenarioOracle:
             for k in np.flatnonzero(retry & (at_kept.node_slack <= tol)).tolist():
                 witness.put(k, at_kept.entry(k))
                 self.carried += 1
-
-        def node(k: int) -> conic.CompiledConstraints:
-            # Built once, from the scenario's family, for each node solved.
-            return self.cons.family(ids[k:k + 1], np.append(misses[k][1], selves[k]))
-
         steps: list[int] = []
-        solved = conic.refine_witness(node, witness, tol, self.opts.tol_infeas, steps)
+        solved = conic.refine_witness(family, witness, tol, self.opts.tol_infeas, steps)
         self.node_solves += len(solved)
         self.node_iterations += sum(steps)
         decided = []

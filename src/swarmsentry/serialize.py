@@ -12,6 +12,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import conic
 from .attacks import AttackPlan, AttackedScenario
 from .detectors import DetectionResult
 from .sdp import FeasibilityProblem, OracleResult
@@ -149,7 +150,7 @@ def suspects_to_dict(sets: SuspectSets) -> dict:
 def problem_to_dict(problem: FeasibilityProblem) -> dict:
     return {
         "node_order": list(problem.node_order),
-        "reported_positions": {str(k): list(v) for k, v in sorted(problem.reported_positions.items())},
+        "reported_positions": {str(k): np.asarray(v).tolist() for k, v in sorted(problem.reported_positions.items())},
         "constraint_pairs": [[i, j, r] for (i, j, r) in problem.constraint_pairs],
         "comm_range": problem.comm_range,
         "epsilon": problem.epsilon,
@@ -170,15 +171,22 @@ def _id_key(key: str) -> int:
 
 @_decoder
 def problem_from_dict(data: dict) -> FeasibilityProblem:
+    positions = data["reported_positions"]
+    _typed([*chain.from_iterable(positions.values())], _NUMBER, "reported positions must hold JSON numbers")
+    pairs = [(i, j, r) for i, j, r in data["constraint_pairs"]]
+    _typed([r for _i, _j, r in pairs], _NUMBER, "claimed distances must be JSON numbers")
+    settings = _typed([data["comm_range"], data["epsilon"], data["strictness_margin"], data["window_sq"]], _NUMBER,
+                      "comm_range, epsilon, strictness_margin and window_sq must be JSON numbers")
+    comm_range, epsilon, margin, window_sq = map(float, settings)
     return FeasibilityProblem(
         # Ids pass as decoded: ``FeasibilityProblem`` rejects any that is not an integer.
         node_order=tuple(data["node_order"]),
-        reported_positions={_id_key(k): np.array(v, dtype=float) for k, v in data["reported_positions"].items()},
-        constraint_pairs=tuple((i, j, float(r)) for i, j, r in data["constraint_pairs"]),
-        comm_range=float(data["comm_range"]),
-        epsilon=float(data["epsilon"]),
-        strictness_margin=float(data["strictness_margin"]),
-        window_sq=float(data["window_sq"]),
+        reported_positions={_id_key(k): np.array(v, dtype=float) for k, v in positions.items()},
+        constraint_pairs=tuple((i, j, float(r)) for i, j, r in pairs),
+        comm_range=comm_range,
+        epsilon=epsilon,
+        strictness_margin=margin,
+        window_sq=window_sq,
     )
 
 
@@ -186,28 +194,26 @@ def problem_dump(problem: FeasibilityProblem) -> dict:
     """Solver-independent dump: dense constraint matrices plus bound records.
 
     Each measured pair contributes one dense rank-one matrix (row-major) and
-    three bound records; each node contributes its displacement record.  The
-    identity corner block is one structural record.  Intended for
-    cross-validation against external conic solvers.
+    three bound records, the oracle's own (``conic.claim_bounds``); each node
+    contributes its displacement record.  The identity corner block is one
+    structural record.  Intended for cross-validation against external
+    conic solvers.
     """
     from .sdp import pair_constraint_matrix
 
     local = {uid: k for k, uid in enumerate(problem.node_order)}
     n = problem.n_sub
-    d, eps = problem.comm_range, problem.epsilon
-    delta, w = problem.strictness_margin, problem.window_sq
     functionals = []
     constraints = []
     for (i, j, r) in problem.constraint_pairs:
         mat = pair_constraint_matrix(problem.reported_positions[j], local[i], n)
         functionals.append({"i": i, "j": j, "matrix_row_major": [float(x) for x in mat.ravel()]})
-        constraints.append(("range_upper", i, j, d * d - delta))
-        constraints.append(("window_upper", i, j, r * r + w - delta))
-        constraints.append(("window_lower", i, j, r * r - w + delta))
+        bounds = conic.claim_bounds(r, problem.comm_range, problem.strictness_margin, problem.window_sq)
+        constraints += [(kind, i, j, b) for kind, b in zip(("range_upper", "window_upper", "window_lower"), bounds)]
     for uid in problem.node_order:
         mat = pair_constraint_matrix(problem.reported_positions[uid], local[uid], n)
         functionals.append({"i": uid, "j": uid, "matrix_row_major": [float(x) for x in mat.ravel()]})
-        constraints.append(("self_upper", uid, uid, eps))
+        constraints.append(("self_upper", uid, uid, problem.epsilon))
     constraints.append(("identity_block", -1, -1, 1.0))
     return {
         "dimension": 3 + n,

@@ -2,8 +2,9 @@
 
 Two sparse directed matrices are compared entry by entry: the distances
 implied by reported positions and the distances actually claimed.  A pair
-whose squared distances disagree by at least (d/2)^2, or that is claimed in
-one direction only, puts both endpoints into the suspected set.
+whose squared distances disagree by at least the acceptance window
+(``conic.acceptance_window``), or that is claimed in one direction only,
+puts both endpoints into the suspected set.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import conic
 from .attacks import AttackedScenario
 from .swarm import InvalidParameterError, MeasurementSet, PairDistances, row_norms
 
@@ -55,7 +57,7 @@ def _violations(e_r: ReportedDistanceMatrix, e_n: MeasurementSet, d: float) -> n
     if e_r.n != e_n.n:
         raise InvalidParameterError("matrix dimensions disagree")
     n = e_n.n
-    threshold = (d / 2.0) ** 2
+    threshold = conic.acceptance_window(d)
     keys = np.sort(np.concatenate([e_r.codes, e_n.codes]))
     keys = keys[np.diff(keys, prepend=-1) != 0]
     # A pair missing from one structure gets an infinite distance there, so
@@ -71,7 +73,8 @@ def violating_pairs(
     """Directed pairs failing the element-wise comparison.
 
     A pair violates when (a) it is claimed in exactly one structure or one
-    direction, or (b) |r_claimed^2 - r_reported^2| >= (d/2)^2.
+    direction, or (b) |r_claimed^2 - r_reported^2| >= the acceptance window
+    (``conic.acceptance_window(d)``).
     """
     bad = _violations(e_r, e_n, d)
     return list(zip((bad // e_n.n).tolist(), (bad % e_n.n).tolist()))

@@ -346,3 +346,19 @@ class TestEstimatorApi:
             detect("nope", scen, initial)
         with pytest.raises(InvalidParameterError):
             detect("random", scen, initial)  # baselines need the true count
+
+    @pytest.mark.parametrize("algo", ["nlos", "random"])
+    @pytest.mark.parametrize("count", [-2, -1, 2.5, 3.0, True, False, np.float64(2.0), "3"])
+    def test_baseline_count_must_be_nonnegative_integer(self, algo, count):
+        # A negative count used to give an empty prediction, a float numpy's TypeError.
+        scen = make_scenario("distributed", 3, seed=7, n=20)
+        with pytest.raises(InvalidParameterError, match="attacker count"):
+            detect(algo, scen, init_of(scen), malicious_count=count)
+
+    @pytest.mark.parametrize("algo", ["nlos", "random"])
+    def test_baseline_zero_and_numpy_counts(self, algo):
+        scen = make_scenario("distributed", 3, seed=7, n=20)
+        initial = init_of(scen)
+        assert detect(algo, scen, initial, malicious_count=0).predicted_malicious == frozenset()
+        assert detect(algo, scen, initial, malicious_count=np.int64(3), seed=7) == \
+            detect(algo, scen, initial, malicious_count=3, seed=7)

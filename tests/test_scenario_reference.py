@@ -99,8 +99,8 @@ def reference_attack(swarm, ms, kind, m, seed, dist_var):
     return uavs, entries
 
 
-def reference_violating_pairs(e_r, e_n, d):
-    threshold = (d / 2.0) ** 2
+def reference_violating_pairs(e_r, e_n, d, window=None):
+    threshold = (d / 2.0) ** 2 if window is None else window
     out = []
     for (i, j) in sorted(set(e_r.entries) | set(e_n.entries)):
         in_r, in_n = (i, j) in e_r.entries, (i, j) in e_n.entries
@@ -116,12 +116,12 @@ def reference_reported(scenario):
     return {(i, j): float(np.linalg.norm(pos[i] - pos[j])) for (i, j) in scenario.measurements.entries}
 
 
-def reference_evidence(scenario):
+def reference_evidence(scenario, window=None):
     ms, n, d = scenario.measurements, scenario.n, scenario.swarm.comm_range
     pos = scenario.swarm.reported_positions()
     e_r = ReportedDistanceMatrix(n, reference_reported(scenario))
     evidence = {k: 0 for k in range(n)}
-    for (i, j) in reference_violating_pairs(e_r, ms, d):
+    for (i, j) in reference_violating_pairs(e_r, ms, d, window):
         evidence[i] += 1
         evidence[j] += 1
     accusers = {k: set() for k in range(n)}
@@ -129,7 +129,7 @@ def reference_evidence(scenario):
     for (i, j) in ms.entries:
         accusers[j].add(i)
         claimants.add(i)
-    window = (d / 2.0) ** 2
+    window = (d / 2.0) ** 2 if window is None else window
     conflicting = {k: set() for k in range(n)}
     for (i, j), r in ms.entries.items():
         gap_sq = float(((pos[i] - pos[j]) ** 2).sum())

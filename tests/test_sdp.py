@@ -12,7 +12,6 @@ from swarmsentry.sdp import (
     OracleOptions,
     assemble,
     check_feasibility,
-    lift_positions,
     pair_constraint_matrix,
 )
 from swarmsentry.swarm import InvalidParameterError
@@ -52,7 +51,7 @@ class TestConstraintMatrix:
     def test_trace_product_evaluates_squared_distance(self):
         # Direct expansion check on explicit positions.
         X = np.array([[0.1, 0.2, 0.3], [-0.2, 0.0, 0.4], [0.25, -0.1, 0.0]])
-        Z = lift_positions(X)
+        Z = conic.complete_lift(X)
         anchor = np.array([0.05, 0.15, -0.2])
         for i in range(3):
             mat = pair_constraint_matrix(anchor, i, 3)
@@ -68,14 +67,14 @@ class TestConstraintMatrix:
 class TestLift:
     def test_block_structure(self):
         X = np.random.default_rng(0).normal(size=(4, 3))
-        Z = lift_positions(X)
+        Z = conic.complete_lift(X)
         assert np.array_equal(Z[:3, :3], np.eye(3))
         assert np.array_equal(Z, Z.T)
         assert np.min(np.linalg.eigvalsh(Z)) >= -1e-12
 
     def test_surplus_keeps_psd(self):
         X = np.random.default_rng(1).normal(size=(4, 3))
-        Z = lift_positions(X, gram_surplus=np.array([0.1, 0.0, 0.5, 0.2]))
+        Z = conic.complete_lift(X, gram_surplus=np.array([0.1, 0.0, 0.5, 0.2]))
         assert np.min(np.linalg.eigvalsh(Z)) >= -1e-12
 
 

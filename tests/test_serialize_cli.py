@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import swarmsentry as ss
-from swarmsentry import serialize
+from swarmsentry import conic, serialize
 from swarmsentry.cli import main
 from swarmsentry.sdp import assemble, check_feasibility
 
@@ -60,7 +60,7 @@ class TestRoundTrips:
         problem = assemble(range(5), scen)
         dump = serialize.problem_dump(problem)
         X = np.array([problem.reported_positions[uid] for uid in problem.node_order])
-        Z = ss.lift_positions(X)
+        Z = conic.complete_lift(X)
         local = {uid: k for k, uid in enumerate(problem.node_order)}
         for fn in dump["functionals"]:
             mat = np.array(fn["matrix_row_major"]).reshape(8, 8)
@@ -151,6 +151,51 @@ class TestDecoderTypes:
         assert scenario.measurements.get(i, j) == 2.0 and type(scenario.measurements.get(i, j)) is float
 
 
+class TestProblemDecoderTypes:
+    """The problem decoder holds a problem file's numbers to the scenario
+    decoders' rule: ``float`` would read "0.3" and true as numbers, and
+    ``oracle-check`` would decide a problem the file does not state."""
+
+    @pytest.mark.parametrize("path, value", [
+        (("comm_range",), "0.3"),
+        (("comm_range",), True),
+        (("epsilon",), True),
+        (("epsilon",), "1e-5"),
+        (("strictness_margin",), None),
+        (("window_sq",), "0.0225"),
+        (("constraint_pairs", 0, 2), "0.1"),
+        (("constraint_pairs", 0, 2), False),
+        (("reported_positions", "1", 2), "0.1"),
+        (("reported_positions", "1", 0), True),
+        (("reported_positions", "1", 1), None),
+    ])
+    def test_mistyped_value_refused(self, path, value):
+        data = serialize.load_path(str(DATA / "problem_n30_distributed.json"))
+        set_in(data, path, value)
+        with pytest.raises(ss.InvalidParameterError, match=f"got {value!r}"):
+            serialize.problem_from_dict(data)
+
+    def test_oracle_check_refuses_string_range(self, tmp_path, capsys):
+        data = serialize.load_path(str(DATA / "problem_n30_distributed.json"))
+        data["comm_range"] = "0.3"
+        prob_path = tmp_path / "problem.json"
+        prob_path.write_text(json.dumps(data))
+        assert run_cli("oracle-check", str(prob_path)) == 2
+        assert "must be JSON numbers" in capsys.readouterr().err
+
+    def test_json_numbers_still_read(self):
+        # A JSON integer setting, distance or coordinate reads as a float.
+        data = serialize.load_path(str(DATA / "problem_n30_distributed.json"))
+        data["comm_range"], data["epsilon"] = 1, 0
+        data["constraint_pairs"][0][2] = 2
+        data["reported_positions"]["1"][0] = 0
+        problem = serialize.problem_from_dict(data)
+        assert type(problem.comm_range) is float and problem.comm_range == 1.0
+        assert type(problem.epsilon) is float and problem.epsilon == 0.0
+        assert type(problem.constraint_pairs[0][2]) is float and problem.constraint_pairs[0][2] == 2.0
+        assert problem.reported_positions[1].dtype == float and problem.reported_positions[1][0] == 0.0
+
+
 class TestCli:
     def test_pipeline(self, tmp_path):
         swarm_path = tmp_path / "swarm.json"
@@ -170,6 +215,15 @@ class TestCli:
         run_cli("generate", "--n", "12", "--seed", "1", "--out", str(swarm_path))
         run_cli("attack", str(swarm_path), "--seed", "1", "--out", str(scen_path))
         assert run_cli("detect", str(scen_path), "--algo", "nlos") == 2
+
+    @pytest.mark.parametrize("algo", ["nlos", "random"])
+    def test_detect_baseline_refuses_negative_count(self, tmp_path, capsys, algo):
+        scen_path = str(DATA / "scenario_n30_distributed.json")
+        assert run_cli("detect", scen_path, "--algo", algo, "--malicious-count", "-2") == 2
+        assert "attacker count must be a nonnegative integer" in capsys.readouterr().err
+        out_path = tmp_path / "detection.json"
+        assert run_cli("detect", scen_path, "--algo", algo, "--malicious-count", "0", "--out", str(out_path)) == 0
+        assert json.loads(out_path.read_text())["predicted_malicious"] == []
 
     def test_oracle_check_with_dump(self, tmp_path):
         scen = make_scenario("distributed", 2, seed=4, n=8)
