@@ -36,14 +36,17 @@ core, which ``sdp.check_feasibility`` (one assembled sub-network) and
   steps, and the loop at the first node proven infeasible.
   ``sdp.ScenarioOracle``, which meets each node again under other anchor
   sets, computes every row's violation at the reports once per scenario,
-  so a node's report slack in any sub-network comes from masked maxima
-  over its present rows (``masked_node_slack``); a report below the
-  tolerance by more than that slack's rounding margin settles its node
-  there without any other work.  It gives the loop a second certificate first:
-  a node whose report misses the tolerance is evaluated exactly at its
-  kept point (its last solved point within ``tol_feas``), and enters the
-  witness there when that point is within ``tol_feas``, so only nodes that
-  miss both are solved;
+  so a node's report slack in any sub-network comes from the maxima of
+  those violations over its present rows; a report below the tolerance by
+  more than that slack's rounding margin settles its node there without
+  any other work.  It keeps each node's bounds per set of present
+  counterparts, and looks up only the nodes a check adds to a sub-network
+  it already proved feasible, and the nodes of that sub-network that
+  claim a distance to them.  It gives the loop a second certificate
+  first: a node whose report misses the tolerance is evaluated exactly at
+  its kept point (its last solved point within ``tol_feas``), and enters
+  the witness there when that point is within ``tol_feas``, so only nodes
+  that miss both are solved;
 * ``sdp.verdict`` turns the two bounds into a status.
 
 Only ``sdp.check_feasibility``, which returns positions, then pulls each
@@ -277,17 +280,15 @@ class PairThresholds:
             bound[live] = b - step[live]
         return out
 
-    def bound(self, mask: np.ndarray | None = None) -> float:
-        """Certified lower bound on the slack of the pairs in ``mask`` (all
-        pairs by default): the certified threshold of the first of their
-        unmet pairs with the largest ``tau``, or zero when each of them
-        admits t = 0.
+    def bound(self) -> float:
+        """Certified lower bound on the slack of the pairs: the certified
+        threshold of the first unmet pair with the largest ``tau``, or zero
+        when each pair admits t = 0.
 
         Nonnegative by construction; zero is vacuous (no violation provable
         this way).
         """
-        certified = self.certified if mask is None else self.certified[mask[self.ranked]]
-        return float(certified[0]) if certified.size else 0.0
+        return float(self.certified[0]) if self.certified.size else 0.0
 
 
 def pairwise_slack_bound(cons: CompiledConstraints) -> float:
@@ -344,23 +345,6 @@ def best_gram_surplus(cons: CompiledConstraints, vals: np.ndarray) -> np.ndarray
     """Per-node Gram surplus minimizing the worst violation at the
     functional values ``vals`` (``cons.values_at`` of the positions)."""
     return _surplus(_per_node_max(cons, vals - cons.hi), _per_node_max(cons, cons.lo - vals))
-
-
-def masked_node_slack(over: np.ndarray, under: np.ndarray, present: np.ndarray,
-                      starts: np.ndarray) -> np.ndarray:
-    """Each node's worst violation with its best Gram surplus applied, over
-    its present rows only.
-
-    ``over`` and ``under`` are per-row upper and lower violations at zero
-    surplus, grouped by node: node k's rows run from ``starts[k]`` to the
-    next start, and each node has a present row.  This is the node slack
-    ``evaluate_witness`` gives the family of the present rows, up to
-    rounding: the two differ by less than 32 ulps of 1.0 times the largest
-    magnitude among those rows' values and finite bounds.
-    """
-    upper_env = np.maximum.reduceat(np.where(present, over, -np.inf), starts)
-    lower_env = np.maximum.reduceat(np.where(present, under, -np.inf), starts)
-    return upper_env + _surplus(upper_env, lower_env)
 
 
 def complete_lift(X: np.ndarray, gram_surplus: np.ndarray | None = None) -> np.ndarray:

@@ -70,9 +70,10 @@ class DetectionContext:
     ``cdi``/``ecdi`` call builds its own, and nothing is kept on the
     scenario, so no context outlives its trial or call.  It holds the
     reported-distance matrix, the scenario's evidence (which the detectors
-    order and gate their checks by) and its feasibility oracle.  Oracle
-    verdicts depend only on the scenario and the sub-network, so a per-UAV
-    verdict one run computed serves every later run of the trial.
+    order and gate their checks by, also as bitmasks of ids) and its
+    feasibility oracle.  Oracle verdicts depend only on the scenario and the
+    sub-network, so a status or per-UAV verdict one run computed serves
+    every later run of the trial.
     """
 
     def __init__(self, scenario: AttackedScenario, options: DetectorOptions | None = None):
@@ -118,6 +119,18 @@ class DetectionContext:
             k for k in set(claimant.tolist())
             if not (self.accusers[k] - self.discredited - {k}) and k not in accusing_anyone
         }
+        # The same as bitmasks (``sdp.id_mask``), as the runs keep their
+        # sets: each id's one-hop neighbors, and the claimants that defer a
+        # singleton check of it (itself excluded).
+        self.hood_mask = [sdp.id_mask(neighbor_set(ms, k)) for k in range(scenario.n)]
+        self.accuser_mask = [sdp.id_mask(self.accusers[k] - {k}) for k in range(scenario.n)]
+        self.conflicting_mask = [sdp.id_mask(self.conflicting_accusers[k] - {k}) for k in range(scenario.n)]
+        self.unvouched_mask = sdp.id_mask(self.unvouched)
+        # Each id's place in the order of singleton checks: least evidence
+        # first, ties by id.
+        self.rank = [0] * scenario.n
+        for place, k in enumerate(sorted(range(scenario.n), key=lambda v: (self.evidence.get(v, 0), v))):
+            self.rank[k] = place
 
     @cached_property
     def oracle(self) -> sdp.ScenarioOracle:
@@ -142,35 +155,44 @@ def _by_subject(claimant: np.ndarray, subject: np.ndarray, n: int) -> dict[int, 
 
 
 class _Run:
-    """Per-run state of one detection run over a shared context."""
+    """Per-run state of one detection run over a shared context.
+
+    The suspected and trusted sets are bitmasks (``sdp.id_mask``).  ``base``
+    is the certified base of the run's checks (``sdp.ScenarioOracle``): the
+    trusted set once its own check is feasible, and again after each
+    exoneration, since every id exonerated comes from a feasible tested set
+    that contains the trusted set.
+    """
 
     def __init__(self, initial: SuspectSets, context: DetectionContext):
         self.context = context
         self.oracle = context.oracle
-        self.suspected = set(initial.suspected)
-        self.trusted = set(initial.trusted)
+        self.suspected = sdp.id_mask(initial.suspected)
+        self.trusted = sdp.id_mask(initial.trusted)
+        self.base = 0
         self.oracle_calls = 0
         self.iterations = 0
         self.passes = 0
         self.trace: list[tuple[int, int, str]] = []
         self.flags: set[str] = set()
 
-    def check(self, sub_ids: set[int], assessed: int) -> str:
-        status = self.oracle.check_known(sub_ids)
+    def check(self, tested: int, assessed: int) -> str:
+        status = self.oracle.check_mask(tested, self.base)
         self.oracle_calls += 1
-        self.trace.append((assessed, len(sub_ids), status))
+        self.trace.append((assessed, tested.bit_count(), status))
         if status == sdp.UNKNOWN:
             self.flags.add("oracle-unknown")
         return status
 
-    def exonerate(self, ids) -> None:
-        moved = set(ids) & self.suspected
-        self.suspected -= moved
+    def exonerate(self, ids: int) -> None:
+        moved = ids & self.suspected
+        self.suspected ^= moved
         self.trusted |= moved
+        self.base = self.trusted
 
     def result(self) -> DetectionResult:
         return DetectionResult(
-            predicted_malicious=frozenset(self.suspected),
+            predicted_malicious=frozenset(sdp.mask_ids(self.suspected)),
             iterations=self.iterations,
             oracle_calls=self.oracle_calls,
             per_iteration_trace=tuple(self.trace),
@@ -185,35 +207,34 @@ def _trusted_base_ok(run: _Run) -> bool:
         run.flags.add("trusted-set-empty")
         return False
     ok = run.check(run.trusted, assessed=-1) == sdp.FEASIBLE
-    if not ok:
+    if ok:
+        run.base = run.trusted
+    else:
         run.flags.add("trusted-set-infeasible")
     return ok
 
 
-def _clear_singletons(run: _Run, ids, blockers: dict[int, set[int]]) -> bool:
-    """Assess each of ``ids`` alone against the trusted set, and exonerate
-    those that localize.
+def _clear_singletons(run: _Run, ids: int, blockers: list[int]) -> bool:
+    """Assess each id of the mask ``ids`` alone against the trusted set, and
+    exonerate those that localize.
 
     Lightly-implicated ids go first: each exoneration enlarges the trusted
     base that the heavily-implicated ids (attackers, if anyone) must then
     reconcile with.  Unvouched ids are never cleared, and an id is deferred
-    while one of its ``blockers`` is still suspected: its check would not
-    see that accuser's claims and could clear it on incomplete evidence.
+    while one of its ``blockers`` (a mask per id) is still suspected: its
+    check would not see that accuser's claims and could clear it on
+    incomplete evidence.
     """
     ctx = run.context
     changed = False
-    for k in sorted(set(ids) - ctx.unvouched, key=lambda v: (ctx.evidence.get(v, 0), v)):
-        if (blockers[k] & run.suspected) - {k}:
+    for k in sorted(sdp.mask_ids(ids & ~ctx.unvouched_mask), key=ctx.rank.__getitem__):
+        if blockers[k] & run.suspected:
             continue
         run.iterations += 1
-        if run.check(run.trusted | {k}, assessed=k) == sdp.FEASIBLE:
-            run.exonerate({k})
+        if run.check(run.trusted | 1 << k, assessed=k) == sdp.FEASIBLE:
+            run.exonerate(1 << k)
             changed = True
     return changed
-
-
-def _neighborhood(run: _Run, k: int) -> frozenset[int]:
-    return neighbor_set(run.context.scenario.measurements, k)
 
 
 def cdi(
@@ -272,33 +293,37 @@ def _iterate(
         # else keep the whole suspect set.
         if run.trusted:
             run.passes = 1
-            _clear_singletons(run, run.suspected, ctx.conflicting_accusers)
+            _clear_singletons(run, run.suspected, ctx.conflicting_mask)
         return run.result()
 
-    max_passes = 2 * len(run.suspected) + 3
+    hoods = ctx.hood_mask
+    max_passes = 2 * run.suspected.bit_count() + 3
     while run.passes < max_passes:
         run.passes += 1
         changed = False
-        for k in sorted(run.suspected):
-            if k not in run.suspected:
+        for k in sdp.mask_ids(run.suspected):
+            if not run.suspected >> k & 1:
                 continue
             run.iterations += 1
-            hood = _neighborhood(run, k)
-            tested = run.trusted | {k} | hood
+            tested = run.trusted | 1 << k | hoods[k]
             status = run.check(tested, assessed=k)
             if status == sdp.FEASIBLE:
                 # A feasible sub-network certifies its members consistent with
                 # each other; a neighbor is cleared wholesale only when all of
                 # its own evidence was inside the tested set, otherwise it
                 # must earn exoneration through its own assessment.
-                movable = ({k} | {v for v in hood if _neighborhood(run, v) <= tested}) - ctx.unvouched
+                movable = 1 << k
+                for v in sdp.mask_ids(hoods[k]):
+                    if not hoods[v] & ~tested:
+                        movable |= 1 << v
+                movable &= ~ctx.unvouched_mask
                 if movable & run.suspected:
                     run.exonerate(movable)
                     changed = True
             elif refine:
                 # Per-UAV refinement of the failed neighborhood.  An id still
                 # accused by another suspect is deferred.
-                changed |= _clear_singletons(run, ({k} | hood) & run.suspected, ctx.accusers)
+                changed |= _clear_singletons(run, (1 << k | hoods[k]) & run.suspected, ctx.accuser_mask)
         if changed:
             continue
         if refine and run.suspected:
@@ -307,7 +332,7 @@ def _iterate(
             # sweep, least-implicated first, resolves them against the
             # now-maximal trusted base.
             run.passes += 1
-            if _clear_singletons(run, run.suspected, ctx.conflicting_accusers):
+            if _clear_singletons(run, run.suspected, ctx.conflicting_mask):
                 continue
         break
     return run.result()

@@ -54,7 +54,8 @@ class OracleOptions:
 class FeasibilityProblem:
     """One assembled feasibility instance over a sub-network.
 
-    ``node_order`` fixes the local column mapping (sorted UAV ids);
+    ``node_order`` fixes the local column mapping (distinct UAV ids, sorted
+    by ``assemble``);
     ``constraint_pairs`` holds directed claimed measurements with both
     endpoints inside the sub-network, in global ids.
     """
@@ -72,6 +73,8 @@ class FeasibilityProblem:
             raise InvalidParameterError("sub-network must be nonempty")
         if not all(map(_is_id, [*self.node_order, *(x for t in self.constraint_pairs for x in t[:2])])):
             raise InvalidParameterError("node ids must be integers")
+        if len(set(self.node_order)) != self.n_sub:
+            raise InvalidParameterError("node ids must be distinct: each UAV has one column")
         if not all(math.isfinite(x) for x in (self.comm_range, self.epsilon, self.strictness_margin, self.window_sq)):
             raise InvalidParameterError("range, epsilon, margin and window must be finite")
         if self.epsilon < 0 or self.strictness_margin <= 0 or self.comm_range <= 0:
@@ -267,6 +270,24 @@ def _residuals(Z: np.ndarray) -> tuple[float, float | None]:
     return max(sym, block, neg), rank_gap
 
 
+def id_mask(ids) -> int:
+    """The bitmask of UAV ids: bit i is set for id i."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << int(i)
+    return mask
+
+
+def mask_ids(mask: int) -> list[int]:
+    """The UAV ids of a bitmask, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
+
+
 class ScenarioOracle:
     """Feasibility status of sub-networks of one scenario, for the detection
     runs of one ``detectors.DetectionContext``.
@@ -275,141 +296,226 @@ class ScenarioOracle:
     scenario, options.paper_replication))`` gives under the default
     ``OracleOptions``, through the same decision core (see ``conic``), but
     builds no problem, witness or lift.  ``paper_replication`` is the one
-    setting: every other value of a check is fixed.
-    The whole scenario is compiled once, and since the relaxation is
-    separable per UAV:
+    setting: every other value of a check is fixed.  ``check_mask`` is the
+    same check of a sub-network given as a bitmask of its ids (see
+    ``id_mask``), as the detectors keep their sets.  The whole scenario is
+    compiled once, and since the relaxation is separable per UAV:
 
-    * the pairwise bound is ``conic.PairThresholds.bound`` over the pairs in
-      the sub-network, from thresholds computed once for every directed pair
-      of the scenario;
-    * each row's violation at the reports is computed once, so a member's
-      report slack over the rows present in the sub-network comes from
-      masked maxima of those violations (``conic.masked_node_slack``).  A
-      member whose report fits (that slack is below ``tol_feas`` by more
-      than its rounding margin, so the exact slack is within ``tol_feas``
-      too) adds that slack to the upper bound and nothing to the lower
-      one, with no other work;
-    * any other member's verdict depends only on which of its measured
-      counterparts are in the sub-network.  It is kept per (node,
-      counterparts present);
-    * an uncached node is settled by its kept point (the last node solve of
-      it that ended within ``tol_feas``, whatever its counterparts were
-      then) when that point's exact slack is within ``tol_feas``, and kept
-      as (that slack, -inf); the nodes it does not settle go through
-      ``conic.refine_witness`` together, as one family of their present
-      rows, and keep the bounds of their solve.
+    * the pairwise bound is the certified threshold of the first ranked
+      unmet pair (``conic.PairThresholds``) with both ends in the
+      sub-network, found from each member's unmet pairs in rank order;
+    * each member is looked up by the mask of its measured counterparts in
+      the sub-network (the rows it owns there), and its bounds are kept
+      per (UAV, that mask).  A member not yet kept first takes its report
+      slack over those rows from the maxima of their violations at the
+      reports, computed once per scenario.  A report that fits (that
+      slack is below ``tol_feas`` by more than its rounding margin, so the
+      exact slack is within ``tol_feas`` too) is kept as (that slack,
+      -inf);
+    * a member whose report misses is settled by its kept point (the last
+      node solve of it that ended within ``tol_feas``, whatever its
+      counterparts were then) when that point's exact slack is within
+      ``tol_feas``, and kept as (that slack, -inf); the members it does not
+      settle go through ``conic.refine_witness`` together, as one family of
+      their present rows, and keep the bounds of their solve.
 
     A kept point within ``tol_feas`` proves the node's optimum is too, so no
     valid lower bound of it reaches ``tol_infeas``: it settles the node as
     its solve would, unless that solve would have stalled.  A node not yet
     decided counts as unbounded above; the order in which nodes are decided
-    does not change the status.  A check keeps nothing but verdicts, kept
-    points and counters, so its status does not depend on earlier checks.
+    does not change the status.
+
+    A check may name a *certified base*: a sub-network proved feasible, or
+    a subset of one.  Each member of a feasible sub-network has a witness
+    within ``tol_feas`` for its counterparts there, and a witness for a set
+    of counterparts is one for any subset, so every member of the base
+    whose counterparts in the tested sub-network lie inside the base is
+    within ``tol_feas`` without a lookup.  The check then looks up only the
+    members outside the base and the base members that claim a distance to
+    one of them; with no base it looks up every member.  Base members skip
+    only bounds below ``tol_infeas``, so the status is the one a check
+    without the base gives.  The first unmet pair inside the base is kept
+    for the last base, and a larger base (the trusted set of a run only
+    grows) takes it from there over the members it adds, so the pairwise
+    bound too looks only at the pairs of members outside the base.
+    Statuses are kept per tested mask.
+
     ``node_solves``, ``node_iterations`` (the steps of those solves),
-    ``carried`` (nodes settled by a kept point) and ``cache_hits`` (verdict
-    lookups of members whose report misses) count the work done so far.
+    ``carried`` (nodes settled by a kept point), ``nodes_checked`` (member
+    lookups) and ``cache_hits`` (lookups answered by kept bounds) count the
+    work done so far.
     """
 
     def __init__(self, scenario: AttackedScenario, options: DetectorOptions):
         d = scenario.swarm.comm_range
         self.opts = OracleOptions()
-        self.n = scenario.n
+        self.n = n = scenario.n
         ms = scenario.measurements
         # The claims in (src, dst) order: node i's pair rows are first_row[i]
         # up to first_row[i + 1].
-        self.first_row = ms.row_start
-        self.src, self.dst = ms.src[ms.order], ms.dst[ms.order]
+        self.first_row = first = ms.row_start.tolist()
+        src, self.dst = ms.src[ms.order], ms.dst[ms.order]
         self.cons = cons = conic.compile_constraints(
-            scenario.swarm.reported_positions(), np.column_stack([self.src, self.dst, ms.r[ms.order]]), d,
+            scenario.swarm.reported_positions(), np.column_stack([src, self.dst, ms.r[ms.order]]), d,
             *_settings(d, options.paper_replication)
         )
         p = cons.n_pairs
-        self.pairs = conic.PairThresholds.of(cons)
-        # Every row's violations at the reports, grouped by node: node i's
-        # pair rows, then its own displacement row, from segment[i] on.
-        order = np.argsort(cons.owner, kind="stable")
+        pairs = conic.PairThresholds.of(cons)
+        # The unmet pairs' certified thresholds by rank, and each node's
+        # unmet pairs as (rank, other end), by rank.  ``base_rank`` is the
+        # rank of the first unmet pair inside ``base``, the last base seen.
+        self.certified = pairs.certified.tolist()
+        self.unmet: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for rank, (i, j) in enumerate(zip(src[pairs.ranked].tolist(), self.dst[pairs.ranked].tolist())):
+            self.unmet[i].append((rank, j))
+            self.unmet[j].append((rank, i))
+        self.base, self.base_rank = 0, len(self.certified)
+        # Every row's violations at the reports.  Node i's pair rows, from
+        # first_row[i] on, are kept twice: with its upper violations, largest
+        # first, and with its lower ones, largest first, each beside the
+        # row's counterpart.  Its own displacement row's is ``self_over[i]``.
         vals = cons.values_at(cons.positions)
-        self.over, self.under = (vals - cons.hi)[order], (cons.lo - vals)[order]
-        self.segment = self.first_row[:-1] + np.arange(self.n)
-        self.pair_slot = np.arange(p) + self.src
-        # A report fits below this without an exact evaluation: the masked
-        # slack is within ``conic.masked_node_slack``'s rounding margin of
-        # the exact one, so the two sides of tol_feas agree.
+        over, under = vals - cons.hi, cons.lo - vals
+        self.self_over = over[p:].tolist()
+        by_over = np.lexsort((-over[:p], src))
+        by_under = np.lexsort((-under[:p], src))
+        self.over, self.over_end = over[by_over].tolist(), self.dst[by_over].tolist()
+        self.under, self.under_end = under[by_under].tolist(), self.dst[by_under].tolist()
+        # Each node's counterparts (the rows it owns), and who claims each node.
+        dst = self.dst.tolist()
+        self.claims = [id_mask(dst[a:b]) for a, b in zip(first, first[1:])]
+        self.claimants = [0] * n
+        for i, j in zip(src.tolist(), dst):
+            self.claimants[j] |= 1 << i
+        # A report fits below this without an exact evaluation: the slack
+        # from row maxima is within 32 ulps of that scale of the exact one,
+        # so the two sides of tol_feas agree.
         finite_lo = cons.lo[np.isfinite(cons.lo)]
         scale = max(np.abs(vals).max(), np.abs(cons.hi).max(), np.abs(finite_lo).max(initial=0.0))
         self.fit_limit = self.opts.tol_feas - 32 * np.finfo(float).eps * scale
-        self.verdicts: dict[tuple[int, bytes], tuple[float, float]] = {}
+        self.verdicts: dict[tuple[int, int], tuple[float, float]] = {}
+        self.statuses: dict[int, str] = {}
         # Each node's last solved point within tol_feas (NaN before one).
         self.kept = np.full((self.n, 3), np.nan)
-        self.node_solves = self.node_iterations = self.carried = self.cache_hits = 0
+        self.node_solves = self.node_iterations = self.carried = self.nodes_checked = self.cache_hits = 0
 
     def check(self, sub_ids) -> str:
         """Status of the sub-network ``sub_ids`` (an iterable of UAV ids)."""
-        return self.check_known(_uav_ids(sub_ids, self.n))
+        return self.check_mask(id_mask(_uav_ids(sub_ids, self.n).tolist()))
 
-    def check_known(self, sub_ids) -> str:
-        """``check`` for a collection of ids already known to be UAV ids of
-        the scenario, as the detectors' sub-networks are: no id is
-        validated."""
-        return self._status(np.fromiter(sub_ids, dtype=np.intp, count=len(sub_ids)))
+    def check_mask(self, tested: int, base: int = 0) -> str:
+        """Status of the sub-network whose ids are the bits of ``tested``,
+        none of them validated, over the certified base ``base`` (0 for
+        none): the bitmask of a sub-network this scenario's checks proved
+        feasible, or of a subset of one.  Only its part inside ``tested``
+        is used."""
+        status = self.statuses.get(tested)
+        if status is None:
+            status = self.statuses[tested] = self._status(tested, base & tested)
+        return status
 
     def pairwise_bound(self, sub_ids) -> float:
         """The sub-network's pairwise bound: bit for bit what
         ``conic.pairwise_slack_bound`` gives its assembled problem."""
-        return self.pairs.bound(self._select(_uav_ids(sub_ids, self.n))[1])
+        tested = id_mask(_uav_ids(sub_ids, self.n).tolist())
+        return self._bound(self._first_unmet(tested, 0, mask_ids(tested)))
 
-    def _select(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Member mask of the sub-network's UAVs, and of its pair rows."""
-        member = np.zeros(self.n, dtype=bool)
-        member[ids] = True
-        return member, member[self.src] & member[self.dst]
+    def _bound(self, rank: int) -> float:
+        """The certified threshold of the unmet pair of this rank (zero past
+        the last)."""
+        return self.certified[rank] if rank < len(self.certified) else 0.0
 
-    def _status(self, ids: np.ndarray) -> str:
-        member, active = self._select(ids)
-        upper, lower = np.inf, self.pairs.bound(active)
-        if lower < self.opts.tol_infeas:
-            upper, node_lower = self._node_bounds(member, active)
-            lower = max(lower, node_lower)
+    def _first_unmet(self, tested: int, base: int, added: list[int]) -> int:
+        """The rank of the first unmet pair inside ``tested``: the first
+        inside its part ``base``, or one of the nodes ``added`` outside it.
+        The first inside the base is kept for the last base, and a larger
+        base takes it from there over the nodes it adds."""
+        if base != self.base:
+            if self.base & ~base:
+                self.base, self.base_rank = 0, len(self.certified)
+            self.base_rank = self._first_unmet_of(mask_ids(base & ~self.base), base, self.base_rank)
+            self.base = base
+        return self._first_unmet_of(added, tested, self.base_rank)
+
+    def _first_unmet_of(self, nodes: list[int], inside: int, rank: int) -> int:
+        """The rank of the first unmet pair of one of ``nodes`` with both
+        ends in ``inside``, if it comes before ``rank``; else ``rank``."""
+        for i in nodes:
+            for r, j in self.unmet[i]:
+                if r >= rank:
+                    break
+                if inside >> j & 1:
+                    rank = r
+                    break
+        return rank
+
+    def _status(self, tested: int, base: int) -> str:
+        """Base members that claim no distance to a member outside the base
+        are settled by it.  Members whose bounds are kept come first;
+        members not yet kept are decided only when none of those proves
+        infeasibility."""
+        touched = tested & ~base
+        added = mask_ids(touched)
+        upper, lower = -np.inf, self._bound(self._first_unmet(tested, base, added))
+        if not lower < self.opts.tol_infeas:
+            return verdict(np.inf, lower, self.opts)
+        for i in added:
+            touched |= self.claimants[i]
+        members = mask_ids(tested & touched)
+        self.nodes_checked += len(members)
+        misses = []
+        for i in members:
+            key = (i, self.claims[i] & tested)
+            bounds = self.verdicts.get(key)
+            if bounds is None:
+                slack = self._report_slack(*key)
+                if not slack <= self.fit_limit:
+                    misses.append(key)
+                    continue
+                bounds = self.verdicts[key] = (slack, -np.inf)
+            else:
+                self.cache_hits += 1
+            if bounds[0] > upper:
+                upper = bounds[0]
+            if bounds[1] > lower:
+                lower = bounds[1]
+        if misses:
+            decided = self._decide(misses, tested) if lower < self.opts.tol_infeas else []
+            lower = max([lower, *(lo for _up, lo in decided)])
+            upper = max([upper, *(up for up, _lo in decided)]) if len(decided) == len(misses) else np.inf
         return verdict(upper, lower, self.opts)
 
-    def _node_bounds(self, member: np.ndarray, active: np.ndarray) -> tuple[float, float]:
-        """Largest upper and lower node bounds over the members, in the
-        sub-network of member mask ``member`` and pair-row mask ``active``.
-        Members whose reports fit come first, then cached verdicts;
-        uncached nodes are decided only when none of those proves
-        infeasibility."""
-        slack = self._report_slack(member, active)
-        fits = slack <= self.fit_limit
-        upper = slack[fits].max(initial=-np.inf)
-        if fits.all():
-            return upper, -np.inf
-        first = self.first_row
-        keys = [(i, active[first[i]:first[i + 1]].tobytes()) for i in np.flatnonzero(member)[~fits].tolist()]
-        hits = [self.verdicts.get(key) for key in keys]
-        bounds = [hit for hit in hits if hit is not None]
-        self.cache_hits += len(bounds)
-        if len(bounds) < len(keys) and max([lower for _upper, lower in bounds], default=-np.inf) < self.opts.tol_infeas:
-            bounds += self._decide([(i, first[i] + np.flatnonzero(np.frombuffer(bits, dtype=bool)), (i, bits))
-                                    for (i, bits), hit in zip(keys, hits) if hit is None])
-        lower = max([lower for _upper, lower in bounds], default=-np.inf)
-        if len(bounds) < len(keys):
-            return np.inf, lower
-        return max([upper, *(upper for upper, _lower in bounds)]), lower
+    def _report_slack(self, i: int, present: int) -> float:
+        """Node ``i``'s report slack over its rows to the counterparts in
+        ``present``: the largest upper violation U and lower violation L
+        over those rows and its own, and U plus the Gram surplus
+        ``conic.best_gram_surplus`` takes from them, in its float
+        operations."""
+        a, b = self.first_row[i], self.first_row[i + 1]
+        upper, lower = self.self_over[i], -np.inf
+        for k in range(a, b):
+            if self.over[k] <= upper:
+                break
+            if present >> self.over_end[k] & 1:
+                upper = self.over[k]
+                break
+        for k in range(a, b):
+            if present >> self.under_end[k] & 1:
+                lower = self.under[k]
+                break
+        return upper + ((lower - upper) / 2.0 if lower > upper else 0.0)
 
-    def _report_slack(self, member: np.ndarray, active: np.ndarray) -> np.ndarray:
-        """Each member's report slack over its rows present in the
-        sub-network (``conic.masked_node_slack``)."""
-        present = np.ones(len(self.over), dtype=bool)
-        present[self.pair_slot] = active
-        return conic.masked_node_slack(self.over, self.under, present, self.segment)[member]
-
-    def _decide(self, misses: list) -> list[tuple[float, float]]:
-        """Settle the uncached nodes, whose reports miss, by their kept
+    def _decide(self, misses: list[tuple[int, int]], tested: int) -> list[tuple[float, float]]:
+        """Settle the uncached nodes ``misses`` (node, counterpart mask) of
+        the sub-network ``tested``, whose reports miss, by their kept
         points, then by the node loop (from their reports), and keep and
         return the verdict of each node settled."""
-        ids = [i for i, _rows, _key in misses]
-        selves = self.cons.n_pairs + np.array(ids)
-        family = self.cons.family(ids, np.concatenate([rows for _i, rows, _key in misses] + [selves]))
+        ids = [i for i, _present in misses]
+        inside = np.unpackbits(np.frombuffer(tested.to_bytes(self.n // 8 + 1, "little"), dtype=np.uint8),
+                               bitorder="little").view(bool)
+        rows = np.concatenate([np.arange(self.first_row[i], self.first_row[i + 1]) for i in ids])
+        rows = np.concatenate([rows[inside[self.dst[rows]]], self.cons.n_pairs + np.array(ids)])
+        family = self.cons.family(ids, rows)
         tol = self.opts.tol_feas
         witness = conic.evaluate_witness(family, family.positions.copy())
         kept = self.kept[ids]
@@ -426,10 +532,10 @@ class ScenarioOracle:
         self.node_solves += len(solved)
         self.node_iterations += sum(steps)
         decided = []
-        for k, (i, _rows, key) in enumerate(misses):
+        for k, key in enumerate(misses):
             if k in solved or witness.node_slack[k] <= tol:
                 self.verdicts[key] = (float(witness.node_slack[k]), solved.get(k, -np.inf))
                 decided.append(self.verdicts[key])
                 if k in solved and witness.node_slack[k] <= tol:
-                    self.kept[i] = witness.X[k]
+                    self.kept[key[0]] = witness.X[k]
         return decided

@@ -153,9 +153,9 @@ class TestAlgorithmInvariants:
         assert initial.suspected  # scenario produces live suspects
         hood_max = max(len(ss.neighbor_set(scen.measurements, k)) for k in range(20))
         for base_ok in (False, True):
-            trusted = set(initial.trusted) if base_ok else None
-            monkeypatch.setattr(sdp.ScenarioOracle, "check_known",
-                                lambda self, sub_ids: sdp.FEASIBLE if set(sub_ids) == trusted else sdp.UNKNOWN)
+            trusted = sdp.id_mask(initial.trusted) if base_ok else None
+            monkeypatch.setattr(sdp.ScenarioOracle, "check_mask",
+                                lambda self, tested, base=0: sdp.FEASIBLE if tested == trusted else sdp.UNKNOWN)
             for algo in (cdi, ecdi):
                 res = algo(initial, scen)
                 assert res.predicted_malicious == frozenset(initial.suspected)
@@ -179,15 +179,15 @@ class TestNodeSolveMemo:
         solves = []
         solve_node = ss.conic.solve_node
         monkeypatch.setattr(ss.conic, "solve_node", lambda *a: solves.append(1) or solve_node(*a))
-        check = sdp.ScenarioOracle.check_known
+        check = sdp.ScenarioOracle.check_mask
         asked = []
 
-        def recorded(oracle, sub_ids):
-            status = check(oracle, sub_ids)
-            asked.append((frozenset(sub_ids), status))
+        def recorded(oracle, tested, base=0):
+            status = check(oracle, tested, base)
+            asked.append((sdp.mask_ids(tested), status))
             return status
 
-        monkeypatch.setattr(sdp.ScenarioOracle, "check_known", recorded)
+        monkeypatch.setattr(sdp.ScenarioOracle, "check_mask", recorded)
         for algo in (cdi, ecdi):
             asked.clear()
             solves.clear()

@@ -8,7 +8,10 @@ order of the questions.  Sub-networks are drawn at random and in the shapes
 the detectors ask (trusted set plus one suspect, with or without its
 neighborhood).  A long-lived oracle settles a node by the point it kept from
 an earlier solve when that point is within tolerance: it must still give
-every sub-network the status a fresh oracle gives it.
+every sub-network the status a fresh oracle gives it.  A check over a
+certified base (a sub-network proved feasible, or a subset of one) looks up
+only the members outside it and the base members claiming a distance to
+them, and must give the status and pairwise bound of a check without it.
 """
 
 import contextlib
@@ -58,34 +61,66 @@ def node_family(oracle, i: int, present: np.ndarray) -> conic.CompiledConstraint
     return oracle.cons.family([i], rows)
 
 
-def checked_against_fresh(oracle: sdp.ScenarioOracle, scen, sub) -> str:
-    """``oracle.check_known(sub)``, asserting that a fresh oracle gives the
-    same status, that the work counters count this call's solves and
-    kept-point settlements, that a verdict is kept only for a node whose
-    report misses the oracle's fit limit on its family (up to the limit's
-    rounding margin), and that every verdict a kept point settled is that
+def present_rows(oracle, i: int, present: int) -> np.ndarray:
+    """Node ``i``'s pair rows whose counterparts are bits of ``present``."""
+    counterparts = oracle.dst[oracle.first_row[i]:oracle.first_row[i + 1]].tolist()
+    return np.array([bool(present >> j & 1) for j in counterparts], dtype=bool)
+
+
+def checked_against_fresh(oracle: sdp.ScenarioOracle, scen, tested: int, base: int = 0) -> str:
+    """``oracle.check_mask(tested, base)``, asserting that a fresh oracle
+    gives the same status, that the work counters count this call's solves
+    and kept-point settlements, that bounds kept from a node's report are
+    its exact report slack on its family (up to the fit limit's rounding
+    margin) and come from row maxima only for a report within the fit
+    limit, that any other bounds are kept only for a node whose report
+    misses tol_feas, and that every verdict a kept point settled is that
     point's exact slack on the node's family, within tol_feas."""
     tol = oracle.opts.tol_feas
     margin = tol - oracle.fit_limit
     seen, carried, solves = set(oracle.verdicts), oracle.carried, oracle.node_solves
     with counted_node_solves() as solved:
-        status = sdp.ScenarioOracle.check_known(oracle, sub)
-    assert status == sdp.ScenarioOracle(scen, DetectorOptions()).check(sub)
+        status = sdp.ScenarioOracle.check_mask(oracle, tested, base)
+    assert status == sdp.ScenarioOracle(scen, DetectorOptions()).check(sdp.mask_ids(tested))
     assert oracle.node_solves - solves == len(solved)
     solved_anchors = {family.anchor.tobytes() for family in solved}
     settled_by_kept = 0
     for key in oracle.verdicts.keys() - seen:
         i, present = key
-        family = node_family(oracle, i, np.frombuffer(present, dtype=bool))
-        assert conic.evaluate_witness(family, family.positions.copy()).slack > oracle.fit_limit - margin
+        family = node_family(oracle, i, present_rows(oracle, i, present))
+        report = conic.evaluate_witness(family, family.positions.copy()).slack
+        upper, lower = oracle.verdicts[key]
+        if report <= tol:
+            assert family.anchor.tobytes() not in solved_anchors
+            assert lower == -np.inf and abs(upper - report) < margin
+            assert upper <= oracle.fit_limit or (upper == report and report > oracle.fit_limit - margin)
+            continue
         if family.anchor.tobytes() in solved_anchors:
             continue
-        upper, lower = oracle.verdicts[key]
         assert upper == conic.evaluate_witness(family, oracle.kept[i][None, :].copy()).slack
         assert upper <= tol and lower == -np.inf
         settled_by_kept += 1
     assert oracle.carried - carried == settled_by_kept
     return status
+
+
+def lookups(scen, tested: int, base: int) -> set[int]:
+    """The members a check of ``tested`` over ``base`` looks up: those
+    outside the base, and the base members that claim a distance to one of
+    them."""
+    extra = set(sdp.mask_ids(tested & ~base))
+    ms = scen.measurements
+    claimers = {i for i, j in zip(ms.src.tolist(), ms.dst.tolist()) if j in extra}
+    return extra | (claimers & set(sdp.mask_ids(tested & base)))
+
+
+def range_trial(point: int, trial: int) -> ss.AttackedScenario:
+    """The scenario of a trial of the acceptance range sweep."""
+    config = experiments.ExperimentConfig(
+        sweep_param="comm_range", sweep_values=(0.25, 0.30, 0.35, 0.40, 0.45),
+        attack="distributed", trials_per_point=20, base_seed=1, algorithms=("cdi", "ecdi"))
+    return experiments.build_scenario(config.at_point(config.sweep_values[point]),
+                                      experiments.trial_seed(1, point, trial))
 
 
 def star(past) -> ss.AttackedScenario:
@@ -161,7 +196,8 @@ class TestScenarioOracle:
             problem = sdp.assemble(sub, scen)
             cons = problem.compiled()
             exact = conic.evaluate_witness(cons, cons.positions.copy()).node_slack
-            masked = oracle._report_slack(*oracle._select(np.array(problem.node_order)))
+            tested = sdp.id_mask(problem.node_order)
+            masked = np.array([oracle._report_slack(i, oracle.claims[i] & tested) for i in problem.node_order])
             assert np.all(np.abs(masked - exact) < margin)
             assert np.all(exact[masked <= oracle.fit_limit] <= oracle.opts.tol_feas)
 
@@ -204,7 +240,7 @@ class TestScenarioOracle:
         # neighborhood), all asked of one long-lived oracle.
         context = detectors.DetectionContext(scen)
         oracle = context.oracle
-        oracle.check_known = lambda sub: checked_against_fresh(oracle, scen, sub)
+        oracle.check_mask = lambda tested, base=0: checked_against_fresh(oracle, scen, tested, base)
         for detect in (detectors.cdi, detectors.ecdi):
             detect(context.initial, scen, context=context)
         trusted = set(context.initial.trusted)
@@ -216,19 +252,79 @@ class TestScenarioOracle:
             if oracle.check(sub) == sdp.FEASIBLE:
                 trusted |= sub
 
+    @SETTINGS
+    @given(scen=detector_scenarios(), data=st.data())
+    def test_certified_base_changes_no_status(self, scen, data):
+        # Detector-shaped checks, in two runs on one oracle as cdi then ecdi
+        # run: the trusted set, then the trusted set plus one suspect, with
+        # or without its neighborhood.  A feasible check exonerates some of
+        # what it added, and the trusted set it leaves is the base of the
+        # next checks, as in the detectors.  A status over the base must be
+        # the status with no base and the assembled problem's, the pairwise
+        # bound over the base that problem's bit for bit, and a check looks
+        # up only the members outside the base and the base members that
+        # claim a distance to one of them.
+        context = detectors.DetectionContext(scen)
+        based, plain = (sdp.ScenarioOracle(scen, DetectorOptions()) for _ in range(2))
+        suspects = sorted(context.initial.suspected) or list(range(scen.n))
+        asked = set()
+        for _run in range(2):
+            trusted, base = sdp.id_mask(context.initial.trusted), 0
+            for step in range(8):
+                tested = trusted
+                if step or not trusted:
+                    k = data.draw(st.sampled_from(suspects))
+                    tested = trusted | 1 << k | (context.hood_mask[k] if data.draw(st.booleans()) else 0)
+                checked = based.nodes_checked
+                status = based.check_mask(tested, base)
+                problem = sdp.assemble(sdp.mask_ids(tested), scen)
+                bound = based._bound(based._first_unmet(tested, base, sdp.mask_ids(tested & ~base)))
+                assert bound == conic.pairwise_slack_bound(problem.compiled())
+                expected = set() if tested in asked or bound >= based.opts.tol_infeas else lookups(scen, tested, base)
+                assert based.nodes_checked - checked == len(expected)
+                asked.add(tested)
+                assert status == plain.check_mask(tested)
+                assert status == sdp.check_feasibility(problem).status
+                if status == sdp.FEASIBLE:
+                    added = sdp.mask_ids(tested & ~trusted)
+                    keep = data.draw(st.lists(st.booleans(), min_size=len(added), max_size=len(added)))
+                    trusted |= sdp.id_mask(i for i, moved in zip(added, keep) if moved)
+                    base = trusted
+
     def test_acceptance_trial_carries_kept_points(self):
         # A trial of the range sweep (range 0.45, trial 15), cdi then ecdi
         # on one context: some nodes are settled by their kept points.
-        config = experiments.ExperimentConfig(
-            sweep_param="comm_range", sweep_values=(0.25, 0.30, 0.35, 0.40, 0.45),
-            attack="distributed", trials_per_point=20, base_seed=1, algorithms=("cdi", "ecdi"))
-        scen = experiments.build_scenario(config.at_point(0.45), experiments.trial_seed(1, 4, 15))
+        scen = range_trial(4, 15)
         context = detectors.DetectionContext(scen)
         oracle = context.oracle
-        oracle.check_known = lambda sub: checked_against_fresh(oracle, scen, sub)
+        oracle.check_mask = lambda tested, base=0: checked_against_fresh(oracle, scen, tested, base)
         for detect in (detectors.cdi, detectors.ecdi):
             detect(context.initial, scen, context=context)
         assert oracle.carried > 0 and oracle.node_solves > 0 and oracle.cache_hits > 0
+
+    def test_pairwise_bound_over_the_base(self):
+        # A trial of the range sweep (range 0.30, trial 18), cdi then ecdi
+        # on one context: in some checks the first unmet pair lies inside
+        # the base, and ecdi's first checks follow cdi's larger base.  The
+        # pairwise bound of every check, from the first unmet pair inside
+        # its base and the pairs of the members it adds, must be the
+        # assembled problem's bit for bit.
+        scen = range_trial(1, 18)
+        context = detectors.DetectionContext(scen)
+        oracle = context.oracle
+        check, inside_base = oracle.check_mask, []
+
+        def checked(tested, base=0):
+            rank = oracle._first_unmet(tested, base, sdp.mask_ids(tested & ~base))
+            problem = sdp.assemble(sdp.mask_ids(tested), scen)
+            assert oracle._bound(rank) == conic.pairwise_slack_bound(problem.compiled())
+            inside_base.append(rank == oracle._first_unmet(base, base, []) < len(oracle.certified))
+            return check(tested, base)
+
+        oracle.check_mask = checked
+        for detect in (detectors.cdi, detectors.ecdi):
+            detect(context.initial, scen, context=context)
+        assert any(inside_base)
 
     @SETTINGS
     @given(
@@ -284,13 +380,13 @@ class TestScenarioOracle:
         # 1e-6, inside the tolerance gap, so UAV 0 is solved again.
         scen = star([2e-3, 0.0, past_y, 0.0])
         oracle = sdp.ScenarioOracle(scen, DetectorOptions())
-        assert checked_against_fresh(oracle, scen, (0, 1)) == sdp.FEASIBLE
+        assert checked_against_fresh(oracle, scen, sdp.id_mask((0, 1))) == sdp.FEASIBLE
         present = np.isin(oracle.dst[oracle.first_row[0]:oracle.first_row[1]], (1, 3))
         family = node_family(oracle, 0, present)
         at_kept = conic.evaluate_witness(family, oracle.kept[0][None, :].copy()).slack
         assert (at_kept <= oracle.opts.tol_feas) == bool(carried)
         assert carried or at_kept < oracle.opts.tol_infeas
-        assert checked_against_fresh(oracle, scen, (0, 1, 3)) == sdp.FEASIBLE
+        assert checked_against_fresh(oracle, scen, sdp.id_mask((0, 1, 3))) == sdp.FEASIBLE
         assert (oracle.carried, oracle.node_solves) == (carried, 3 - carried)   # UAV 1 solved once
 
     def test_rejects_ids_outside_the_scenario(self):

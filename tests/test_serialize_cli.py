@@ -311,6 +311,20 @@ class TestCli:
         prob_path.write_text(json.dumps(data))
         assert run_cli("oracle-check", str(prob_path)) == 2
 
+    @pytest.mark.parametrize("repeat", [[0], [5], [2, 2]])
+    def test_oracle_check_rejects_repeated_node_ids(self, tmp_path, capsys, repeat):
+        # A repeated id would give one UAV two columns of the lifted matrix
+        # (and two self rows in the dump).
+        data = serialize.load_path(str(DATA / "problem_n30_distributed.json"))
+        data["node_order"] += repeat
+        with pytest.raises(ss.InvalidParameterError, match="distinct"):
+            serialize.problem_from_dict(data)
+        prob_path = tmp_path / "problem.json"
+        prob_path.write_text(json.dumps(data))
+        assert run_cli("oracle-check", str(prob_path), "--dump", str(tmp_path / "dump.json")) == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not (tmp_path / "dump.json").exists()
+
     @pytest.mark.parametrize("kind,spoil", [
         ("collusion", lambda p: p.update(malicious_ids=[str(i) for i in p["malicious_ids"]])),
         ("collusion", lambda p: p.update(malicious_ids=[float(i) for i in p["malicious_ids"]])),
