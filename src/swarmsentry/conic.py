@@ -21,7 +21,10 @@ core, which ``sdp.check_feasibility`` (one assembled sub-network) and
 
 * the pairwise bound, ``PairThresholds.bound`` over the sub-network's pairs,
   is closed form and certifies most infeasible sub-networks without any
-  solve;
+  solve.  ``sdp.ScenarioOracle`` needs only whether it reaches
+  ``tol_infeas``: it marks once per scenario the pairs that the float
+  predicate ``PairThresholds.satisfied`` rejects at ``tol_infeas``, which
+  certify that much on their own, and steps no threshold down;
 * the node loop, ``refine_witness``, starts from each node's own report
   with its best Gram surplus, and gives every node that misses the
   tolerance, worst first, one deterministic primal-dual interior-point

@@ -32,7 +32,7 @@ from .suspects import (
     partition,
     violation_counts,
 )
-from .swarm import InvalidParameterError, MeasurementSet, _is_id, neighbor_set
+from .swarm import InvalidParameterError, MeasurementSet, _is_id
 from .validation import check_partition, check_scenario
 
 CDI = "cdi"
@@ -70,8 +70,9 @@ class DetectionContext:
     ``cdi``/``ecdi`` call builds its own, and nothing is kept on the
     scenario, so no context outlives its trial or call.  It holds the
     reported-distance matrix, the scenario's evidence (which the detectors
-    order and gate their checks by, also as bitmasks of ids) and its
-    feasibility oracle.  Oracle verdicts depend only on the scenario and the
+    order and gate their checks by: violation counts, and per-UAV bitmasks
+    of ids built in one pass over the claim arrays) and its feasibility
+    oracle.  Oracle verdicts depend only on the scenario and the
     sub-network, so a status or per-UAV verdict one run computed serves
     every later run of the trial.
     """
@@ -86,11 +87,16 @@ class DetectionContext:
         self.evidence = violation_counts(self.reported, scenario.measurements, scenario.swarm.comm_range)
         # The initial partition, read off the same counts.
         self.initial = partition(self.evidence)
-        # Who claims a measurement about each id: a singleton check of id is
-        # conclusive only once these counterparties have been assessed.
+        # Who claims a measurement about each id (``accuser_mask``): a
+        # singleton check of the id is conclusive only once these
+        # counterparties have been assessed.  Its one-hop neighbors
+        # (``hood_mask``) are these and the ids it claims a distance to.
+        # The evidence is kept as bitmasks (``sdp.id_mask``), as the runs
+        # keep their sets.
         ms = scenario.measurements
         claimant, subject, r = ms.src, ms.dst, ms.r
-        self.accusers = _by_subject(claimant, subject, scenario.n)
+        claims, self.accuser_mask = sdp.claim_masks(scenario.n, claimant, subject)
+        self.hood_mask = [a | b for a, b in zip(claims, self.accuser_mask)]
         # Value-conflicting testimony: claims whose distance disagrees with
         # the reported geometry of the pair beyond the acceptance window.
         # Fabricated claims are value-consistent with their subject's report
@@ -103,11 +109,10 @@ class DetectionContext:
         pos = scenario.swarm.reported_positions()
         gap_sq = ((pos[claimant] - pos[subject]) ** 2).sum(axis=1)
         conflict = (gap_sq >= d * d + window) | (np.abs(r * r - gap_sq) >= window)
-        self.conflicting_accusers = _by_subject(claimant[conflict], subject[conflict], scenario.n)
+        accusing, self.conflicting_mask = sdp.claim_masks(scenario.n, claimant[conflict], subject[conflict])
         # Ids whose reported position some claim contradicts: their own
         # testimony about others carries no exonerating weight.
-        self.discredited = set(subject[conflict].tolist())
-        accusing_anyone = set(claimant[conflict].tolist())
+        credible = ~sdp.id_mask(subject[conflict].tolist())
         # A self-consistent claimant that no credible witness reciprocates
         # can never be exonerated: honest measurement presence is symmetric
         # (both directions gate on true distance), so such a node is either
@@ -115,17 +120,10 @@ class DetectionContext:
         # claim are different: they are accusing someone, and clearing them
         # (once they reconcile with the trusted set) puts their testimony to
         # work against the accused.
-        self.unvouched = {
-            k for k in set(claimant.tolist())
-            if not (self.accusers[k] - self.discredited - {k}) and k not in accusing_anyone
-        }
-        # The same as bitmasks (``sdp.id_mask``), as the runs keep their
-        # sets: each id's one-hop neighbors, and the claimants that defer a
-        # singleton check of it (itself excluded).
-        self.hood_mask = [sdp.id_mask(neighbor_set(ms, k)) for k in range(scenario.n)]
-        self.accuser_mask = [sdp.id_mask(self.accusers[k] - {k}) for k in range(scenario.n)]
-        self.conflicting_mask = [sdp.id_mask(self.conflicting_accusers[k] - {k}) for k in range(scenario.n)]
-        self.unvouched_mask = sdp.id_mask(self.unvouched)
+        self.unvouched_mask = sdp.id_mask(
+            k for k in range(scenario.n)
+            if claims[k] and not accusing[k] and not self.accuser_mask[k] & credible
+        )
         # Each id's place in the order of singleton checks: least evidence
         # first, ties by id.
         self.rank = [0] * scenario.n
@@ -145,13 +143,6 @@ class DetectionContext:
         if scenario is not self.scenario or (options is not None and options != self.options):
             raise InvalidParameterError("a detection context serves only the scenario and options it was built for")
         return self
-
-
-def _by_subject(claimant: np.ndarray, subject: np.ndarray, n: int) -> dict[int, set[int]]:
-    """Id -> the claimants of the given (claimant, subject) pairs about it."""
-    grouped = claimant[np.argsort(subject, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(subject, minlength=n)).tolist()
-    return {k: set(grouped[lo:hi]) for k, (lo, hi) in enumerate(zip([0] + ends[:-1], ends))}
 
 
 class _Run:

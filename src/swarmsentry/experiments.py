@@ -21,7 +21,7 @@ from .attacks import ATTACK_KINDS, build_attack
 from .detectors import ALGORITHMS, CDI, ECDI, DetectionContext, DetectorOptions, detect
 from .metrics import malicious_ratio, precision_recall_f1
 from .suspects import build_reported_matrix, initial_suspects
-from .swarm import InvalidParameterError, NoiseParams, apply_position_noise, generate_swarm, measure_distances
+from .swarm import InvalidParameterError, NoiseParams, _is_id, apply_position_noise, generate_swarm, measure_distances
 
 SWEEP_PARAMS = ("malicious_count", "n_uavs", "dist_var", "comm_range")
 
@@ -63,15 +63,18 @@ class ExperimentConfig:
         if self.sweep_param in ("comm_range", "dist_var"):
             scalars += [(self.sweep_param, v) for v in self.sweep_values]
         for name, value in scalars:
-            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 <= value < math.inf):
                 raise InvalidParameterError(f"{name} must be nonnegative and finite, got {value!r}")
         counts = [("n_uavs", self.n_uavs), ("malicious_count", self.malicious_count),
                   ("trials_per_point", self.trials_per_point), ("base_seed", self.base_seed)]
         if self.sweep_param in ("malicious_count", "n_uavs"):
             counts += [(self.sweep_param, v) for v in self.sweep_values]
         for name, value in counts:
-            if not (isinstance(value, numbers.Integral) and value >= 0):
+            if not (_is_id(value) and value >= 0):
                 raise InvalidParameterError(f"{name} must be a nonnegative integer, got {value!r}")
+        for name, value in (("paper_replication", self.paper_replication), ("timing", self.timing)):
+            if not isinstance(value, bool):
+                raise InvalidParameterError(f"{name} must be a boolean, got {value!r}")
         if self.trials_per_point < 1:
             raise InvalidParameterError("trials_per_point must be >= 1")
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))

@@ -99,16 +99,6 @@ class FeasibilityProblem:
     def dimension(self) -> int:
         return 3 + self.n_sub
 
-    def constraint_counts(self) -> dict[str, int]:
-        p = len(self.constraint_pairs)
-        return {
-            "range_upper": p,
-            "window_upper": p,
-            "window_lower": p,
-            "self_upper": self.n_sub,
-            "identity_block": 1,
-        }
-
     def compiled(self) -> conic.CompiledConstraints:
         local = {uid: k for k, uid in enumerate(self.node_order)}
         positions = np.array([self.reported_positions[uid] for uid in self.node_order])
@@ -278,6 +268,17 @@ def id_mask(ids) -> int:
     return mask
 
 
+def claim_masks(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[list[int], list[int]]:
+    """Per-UAV bitmasks of the directed claims ``(src[k], dst[k])`` among
+    ``n`` UAVs: each UAV's claims (the ids it claims a distance to) and its
+    claimants (the ids claiming a distance to it)."""
+    claims, claimants = [0] * n, [0] * n
+    for i, j in zip(src.tolist(), dst.tolist()):
+        claims[i] |= 1 << j
+        claimants[j] |= 1 << i
+    return claims, claimants
+
+
 def mask_ids(mask: int) -> list[int]:
     """The UAV ids of a bitmask, ascending."""
     ids = []
@@ -301,9 +302,14 @@ class ScenarioOracle:
     ``id_mask``), as the detectors keep their sets.  The whole scenario is
     compiled once, and since the relaxation is separable per UAV:
 
-    * the pairwise bound is the certified threshold of the first ranked
-      unmet pair (``conic.PairThresholds``) with both ends in the
-      sub-network, found from each member's unmet pairs in rank order;
+    * a pair the float predicate ``conic.PairThresholds.satisfied`` rejects
+      at ``tol_infeas`` certifies t* > tol_infeas, so each node keeps the
+      mask of the nodes it shares such a *refuting* pair with
+      (``refuting``), and a sub-network holding a refuting pair is
+      infeasible.  That predicate is monotone in t, so this is the status
+      the pairwise bound gives wherever its certified threshold reaches
+      ``tol_infeas``; only a threshold within a few hundred ulps of
+      ``tol_infeas`` can be refuted here and stepped down below it there;
     * each member is looked up by the mask of its measured counterparts in
       the sub-network (the rows it owns there), and its bounds are kept
       per (UAV, that mask).  A member not yet kept first takes its report
@@ -334,11 +340,10 @@ class ScenarioOracle:
     members outside the base and the base members that claim a distance to
     one of them; with no base it looks up every member.  Base members skip
     only bounds below ``tol_infeas``, so the status is the one a check
-    without the base gives.  The first unmet pair inside the base is kept
-    for the last base, and a larger base (the trusted set of a run only
-    grows) takes it from there over the members it adds, so the pairwise
-    bound too looks only at the pairs of members outside the base.
-    Statuses are kept per tested mask.
+    without the base gives.  No refuting pair lies inside a base, since
+    the check that made it feasible would have found it, so only the
+    refuting pairs of members outside the base are read.  Statuses are
+    kept per tested mask.
 
     ``node_solves``, ``node_iterations`` (the steps of those solves),
     ``carried`` (nodes settled by a kept point), ``nodes_checked`` (member
@@ -353,23 +358,19 @@ class ScenarioOracle:
         ms = scenario.measurements
         # The claims in (src, dst) order: node i's pair rows are first_row[i]
         # up to first_row[i + 1].
-        self.first_row = first = ms.row_start.tolist()
+        self.first_row = ms.row_start.tolist()
         src, self.dst = ms.src[ms.order], ms.dst[ms.order]
         self.cons = cons = conic.compile_constraints(
             scenario.swarm.reported_positions(), np.column_stack([src, self.dst, ms.r[ms.order]]), d,
             *_settings(d, options.paper_replication)
         )
         p = cons.n_pairs
-        pairs = conic.PairThresholds.of(cons)
-        # The unmet pairs' certified thresholds by rank, and each node's
-        # unmet pairs as (rank, other end), by rank.  ``base_rank`` is the
-        # rank of the first unmet pair inside ``base``, the last base seen.
-        self.certified = pairs.certified.tolist()
-        self.unmet: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for rank, (i, j) in enumerate(zip(src[pairs.ranked].tolist(), self.dst[pairs.ranked].tolist())):
-            self.unmet[i].append((rank, j))
-            self.unmet[j].append((rank, i))
-        self.base, self.base_rank = 0, len(self.certified)
+        # Each node's claims (the counterparts of the rows it owns) and
+        # claimants, and the nodes it shares a pair with that the float
+        # predicate rejects at tol_infeas: such a pair certifies t* > tol_infeas.
+        self.claims, self.claimants = claim_masks(n, src, self.dst)
+        refuted = ~conic.PairThresholds.of(cons).satisfied(self.opts.tol_infeas)
+        self.refuting = [a | b for a, b in zip(*claim_masks(n, src[refuted], self.dst[refuted]))]
         # Every row's violations at the reports.  Node i's pair rows, from
         # first_row[i] on, are kept twice: with its upper violations, largest
         # first, and with its lower ones, largest first, each beside the
@@ -381,12 +382,6 @@ class ScenarioOracle:
         by_under = np.lexsort((-under[:p], src))
         self.over, self.over_end = over[by_over].tolist(), self.dst[by_over].tolist()
         self.under, self.under_end = under[by_under].tolist(), self.dst[by_under].tolist()
-        # Each node's counterparts (the rows it owns), and who claims each node.
-        dst = self.dst.tolist()
-        self.claims = [id_mask(dst[a:b]) for a, b in zip(first, first[1:])]
-        self.claimants = [0] * n
-        for i, j in zip(src.tolist(), dst):
-            self.claimants[j] |= 1 << i
         # A report fits below this without an exact evaluation: the slack
         # from row maxima is within 32 ulps of that scale of the exact one,
         # so the two sides of tol_feas agree.
@@ -414,51 +409,17 @@ class ScenarioOracle:
             status = self.statuses[tested] = self._status(tested, base & tested)
         return status
 
-    def pairwise_bound(self, sub_ids) -> float:
-        """The sub-network's pairwise bound: bit for bit what
-        ``conic.pairwise_slack_bound`` gives its assembled problem."""
-        tested = id_mask(_uav_ids(sub_ids, self.n).tolist())
-        return self._bound(self._first_unmet(tested, 0, mask_ids(tested)))
-
-    def _bound(self, rank: int) -> float:
-        """The certified threshold of the unmet pair of this rank (zero past
-        the last)."""
-        return self.certified[rank] if rank < len(self.certified) else 0.0
-
-    def _first_unmet(self, tested: int, base: int, added: list[int]) -> int:
-        """The rank of the first unmet pair inside ``tested``: the first
-        inside its part ``base``, or one of the nodes ``added`` outside it.
-        The first inside the base is kept for the last base, and a larger
-        base takes it from there over the nodes it adds."""
-        if base != self.base:
-            if self.base & ~base:
-                self.base, self.base_rank = 0, len(self.certified)
-            self.base_rank = self._first_unmet_of(mask_ids(base & ~self.base), base, self.base_rank)
-            self.base = base
-        return self._first_unmet_of(added, tested, self.base_rank)
-
-    def _first_unmet_of(self, nodes: list[int], inside: int, rank: int) -> int:
-        """The rank of the first unmet pair of one of ``nodes`` with both
-        ends in ``inside``, if it comes before ``rank``; else ``rank``."""
-        for i in nodes:
-            for r, j in self.unmet[i]:
-                if r >= rank:
-                    break
-                if inside >> j & 1:
-                    rank = r
-                    break
-        return rank
-
     def _status(self, tested: int, base: int) -> str:
-        """Base members that claim no distance to a member outside the base
-        are settled by it.  Members whose bounds are kept come first;
-        members not yet kept are decided only when none of those proves
-        infeasibility."""
+        """A refuting pair of a member outside the base makes the
+        sub-network infeasible.  Base members that claim no distance to a
+        member outside the base are settled by it.  Members whose bounds are
+        kept come first; members not yet kept are decided only when none of
+        those proves infeasibility."""
         touched = tested & ~base
         added = mask_ids(touched)
-        upper, lower = -np.inf, self._bound(self._first_unmet(tested, base, added))
-        if not lower < self.opts.tol_infeas:
-            return verdict(np.inf, lower, self.opts)
+        if any(self.refuting[i] & tested for i in added):
+            return INFEASIBLE
+        upper, lower = -np.inf, -np.inf
         for i in added:
             touched |= self.claimants[i]
         members = mask_ids(tested & touched)

@@ -64,6 +64,8 @@ def _typed(values: list, types: frozenset, rule: str) -> list:
 @_decoder
 def swarm_from_dict(data: dict) -> Swarm:
     uavs = data["uavs"]
+    if "n" in data and _typed([data["n"]], _INTEGER, "n must be a JSON integer")[0] != len(uavs):
+        raise InvalidParameterError(f"n must be the UAV count {len(uavs)}, got {data['n']!r}")
     true, reported = [u["true_pos"] for u in uavs], [u["reported_pos"] for u in uavs]
     _typed([*chain.from_iterable(true + reported)], _NUMBER, "UAV positions must hold JSON numbers")
     comm_range, half_width = _typed([data["comm_range"], data.get("cube_half_width", 0.5)], _NUMBER,

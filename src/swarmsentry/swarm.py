@@ -256,8 +256,8 @@ class MeasurementSet(PairDistances):
     adjacency indicator is entry presence; ``neighbor_set`` symmetrizes it.
     Every distance must be positive and finite.  Stages that change claims
     build new arrays and one new set from them (``measure_distances`` once,
-    each attack phase once).  ``entries``, ``outgoing`` and ``adjacency``
-    are views of the arrays, each built on first use; ``order`` and
+    each attack phase once).  ``entries`` and ``adjacency`` are views of
+    the arrays, each built on first use; ``order`` and
     ``row_start`` index the claims by source (a CSR index).
     """
 
@@ -274,14 +274,6 @@ class MeasurementSet(PairDistances):
         """All (i, j, r) triplets in sorted pair order."""
         o = self.order
         return list(zip(self.src[o].tolist(), self.dst[o].tolist(), self.r[o].tolist()))
-
-    @cached_property
-    def outgoing(self) -> dict[int, tuple[tuple[int, int, float], ...]]:
-        """Source id -> its (i, j, r) triplets sorted by j (sources without
-        entries are absent)."""
-        triplets = self.directed_pairs()
-        start = self.row_start.tolist()
-        return {i: tuple(triplets[start[i]:start[i + 1]]) for i in range(self.n) if start[i] < start[i + 1]}
 
     @cached_property
     def adjacency(self) -> dict[int, frozenset[int]]:

@@ -30,11 +30,11 @@ def scenario_of(kind):
 
 def claim_rule_outputs(scenario):
     """What each reader of the window makes of ``scenario``: violation
-    counts, conflicting accusers, the oracle's pair bounds and the dump's
-    records of the whole swarm."""
+    counts, conflicting accusers (a mask per id), the oracle's pair bounds
+    and the dump's records of the whole swarm."""
     d = scenario.swarm.comm_range
     counts = violation_counts(build_reported_matrix(scenario), scenario.measurements, d)
-    conflicting = DetectionContext(scenario).conflicting_accusers
+    conflicting = DetectionContext(scenario).conflicting_mask
     cons = sdp.ScenarioOracle(scenario, DetectorOptions()).cons
     p = cons.n_pairs
     records = serialize.problem_dump(sdp.assemble(range(scenario.n), scenario))["constraints"]
@@ -52,7 +52,8 @@ def test_window_has_one_owner(monkeypatch, kind):
 
     expected = reference_evidence(scenario, window)
     assert counts == expected["evidence"] and counts != before[0]
-    assert conflicting == expected["conflicting_accusers"] and conflicting != before[1]
+    assert conflicting == [sdp.id_mask(expected["conflicting_accusers"][k] - {k}) for k in range(scenario.n)]
+    assert conflicting != before[1]
 
     ms = scenario.measurements
     r = ms.r[ms.order]

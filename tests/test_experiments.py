@@ -45,7 +45,7 @@ class TestConfig:
             ExperimentConfig(algorithms=("cdi", "nope"))
 
     @pytest.mark.parametrize("field", ["comm_range", "cube_half_width", "pos_var", "dist_var", "fake_offset_min"])
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-3, "0.3"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-3, "0.3", True])
     def test_rejects_non_finite_or_negative_scalars(self, field, bad):
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(**{field: bad})
@@ -53,8 +53,18 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [dict(n_uavs=2.5), dict(malicious_count=2.5), dict(trials_per_point=2.5),
                                      dict(base_seed=-1), dict(base_seed=1.0), dict(n_uavs="30"),
                                      dict(sweep_param="malicious_count", sweep_values=(2, 2.5)),
-                                     dict(sweep_param="n_uavs", sweep_values=(20, -25))])
+                                     dict(sweep_param="n_uavs", sweep_values=(20, -25)),
+                                     dict(trials_per_point=True), dict(n_uavs=True), dict(base_seed=False),
+                                     dict(sweep_param="malicious_count", sweep_values=(2, True))])
     def test_rejects_non_integer_counts(self, bad):
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [dict(paper_replication="false"), dict(paper_replication=0),
+                                     dict(timing="no"), dict(timing=None)])
+    def test_rejects_non_boolean_flags(self, bad):
+        # "false" would turn paper replication on (epsilon 1e-6, not 1e-5),
+        # and "no" would fill runtime_ms with wall-clock time.
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(**bad)
 
@@ -63,6 +73,8 @@ class TestConfig:
             ExperimentConfig(sweep_param="dist_var", sweep_values=(1e-6, float("nan")))
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(sweep_param="comm_range", sweep_values=(0.3, -0.3))
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(sweep_param="comm_range", sweep_values=(0.3, True))
         assert ExperimentConfig(fake_offset_min=None).fake_offset_min is None
 
     def test_roundtrip(self):

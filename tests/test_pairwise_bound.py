@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from swarmsentry import conic
+from swarmsentry import conic, sdp
 
 REL = 1e-12
 
@@ -113,6 +113,45 @@ def test_certified_in_one_pass_matches_each_pair_alone(data, eps):
     expected = [stepped_down(float(thresholds.tau[k]), D[k:k + 1], hi[k:k + 1], lo[k:k + 1], eps)
                 for k in thresholds.ranked.tolist()]
     assert thresholds.certified.tolist() == expected
+
+
+def family_at(kind, D, eps, t):
+    """One pair at separation ``D`` whose ``kind`` condition of
+    ``conic.PairThresholds`` has its root at relaxation ``t``, the other two
+    holding there: (hi, lo)."""
+    r = np.sqrt(t + eps)
+    if kind == "upper":
+        hi = (D - r) ** 2 - t
+        return hi, hi
+    if kind == "lower":
+        lo = 3.0 * r * r + 2.0 * D * r + D * D - eps
+        return lo, lo
+    return D * D, D * D + 2.0 * t   # nonempty
+
+
+@given(
+    kind=st.sampled_from(("upper", "lower", "nonempty")),
+    D=st.floats(0.05, 1.0),
+    eps=epsilons,
+    ulps=st.integers(-40, 40),
+)
+@settings(max_examples=300, deadline=None)
+def test_certified_at_tol_infeas_refutes(kind, D, eps, ulps):
+    # The scenario oracle refutes a sub-network by a pair that the float
+    # predicate rejects at tol_infeas, where the pairwise bound takes a
+    # pair's stepped-down threshold.  Each condition of the predicate is
+    # monotone in t in floating point too, so a certified threshold at or
+    # past tol_infeas means the pair is rejected at tol_infeas itself.  One
+    # pair whose threshold lies within 40 ulps of tol_infeas on each side.
+    tol = sdp.OracleOptions().tol_infeas
+    t = tol + ulps * float(np.spacing(tol))
+    assume(t + eps > 0.0 and (kind != "upper" or np.sqrt(t + eps) <= D))
+    hi, lo = family_at(kind, D, eps, t)
+    thresholds = conic.PairThresholds(np.array([D]), np.array([hi]), np.array([lo]), eps)
+    assume(abs(float(thresholds.tau[0]) - tol) <= 40 * float(np.spacing(tol)))
+    certified = thresholds.certified
+    if certified.size and certified[0] >= tol:
+        assert not thresholds.satisfied(tol)[0]
 
 
 @given(st.floats(-0.1, 1.0), st.floats(-0.2, 1.0), epsilons)

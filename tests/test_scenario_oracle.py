@@ -3,15 +3,16 @@
 ``sdp.ScenarioOracle`` decides a sub-network from pair thresholds and
 per-node verdicts kept for the whole run, never building the problem.  Every
 sub-network it is asked about must get the status ``check_feasibility`` gives
-``assemble`` of it, and the same pairwise bound bit for bit, whatever the
-order of the questions.  Sub-networks are drawn at random and in the shapes
+``assemble`` of it, whatever the order of the questions, and hold a
+refuting pair exactly when the pairwise bound of that problem reaches
+``tol_infeas``.  Sub-networks are drawn at random and in the shapes
 the detectors ask (trusted set plus one suspect, with or without its
 neighborhood).  A long-lived oracle settles a node by the point it kept from
 an earlier solve when that point is within tolerance: it must still give
 every sub-network the status a fresh oracle gives it.  A check over a
 certified base (a sub-network proved feasible, or a subset of one) looks up
 only the members outside it and the base members claiming a distance to
-them, and must give the status and pairwise bound of a check without it.
+them, and must give the status of a check without it.
 """
 
 import contextlib
@@ -104,6 +105,16 @@ def checked_against_fresh(oracle: sdp.ScenarioOracle, scen, tested: int, base: i
     return status
 
 
+def refutes(oracle: sdp.ScenarioOracle, tested: int) -> bool:
+    """Whether the sub-network ``tested`` holds a pair that refutes it."""
+    return any(oracle.refuting[i] & tested for i in sdp.mask_ids(tested))
+
+
+def refuted_by_bound(oracle: sdp.ScenarioOracle, problem: sdp.FeasibilityProblem) -> bool:
+    """Whether the assembled problem's pairwise bound reaches tol_infeas."""
+    return conic.pairwise_slack_bound(problem.compiled()) >= oracle.opts.tol_infeas
+
+
 def lookups(scen, tested: int, base: int) -> set[int]:
     """The members a check of ``tested`` over ``base`` looks up: those
     outside the base, and the base members that claim a distance to one of
@@ -177,7 +188,7 @@ class TestScenarioOracle:
                 assert oracle.check(sub) == status
             if k == 0:
                 assert len(scenario) == len(direct)
-            assert oracle.pairwise_bound(sub) == conic.pairwise_slack_bound(problem.compiled())
+            assert refutes(oracle, sdp.id_mask(sub)) == refuted_by_bound(oracle, problem)
 
     @SETTINGS
     @given(scen=scenarios(), data=st.data())
@@ -260,10 +271,11 @@ class TestScenarioOracle:
         # or without its neighborhood.  A feasible check exonerates some of
         # what it added, and the trusted set it leaves is the base of the
         # next checks, as in the detectors.  A status over the base must be
-        # the status with no base and the assembled problem's, the pairwise
-        # bound over the base that problem's bit for bit, and a check looks
-        # up only the members outside the base and the base members that
-        # claim a distance to one of them.
+        # the status with no base and the assembled problem's, the
+        # sub-network must hold a refuting pair exactly when that problem's
+        # pairwise bound reaches tol_infeas, and a check that finds no
+        # refuting pair of a member outside the base looks up only those
+        # members and the base members that claim a distance to one of them.
         context = detectors.DetectionContext(scen)
         based, plain = (sdp.ScenarioOracle(scen, DetectorOptions()) for _ in range(2))
         suspects = sorted(context.initial.suspected) or list(range(scen.n))
@@ -278,9 +290,9 @@ class TestScenarioOracle:
                 checked = based.nodes_checked
                 status = based.check_mask(tested, base)
                 problem = sdp.assemble(sdp.mask_ids(tested), scen)
-                bound = based._bound(based._first_unmet(tested, base, sdp.mask_ids(tested & ~base)))
-                assert bound == conic.pairwise_slack_bound(problem.compiled())
-                expected = set() if tested in asked or bound >= based.opts.tol_infeas else lookups(scen, tested, base)
+                refuted = refutes(based, tested)
+                assert refuted == refuted_by_bound(based, problem)
+                expected = set() if tested in asked or refuted else lookups(scen, tested, base)
                 assert based.nodes_checked - checked == len(expected)
                 asked.add(tested)
                 assert status == plain.check_mask(tested)
@@ -302,30 +314,6 @@ class TestScenarioOracle:
             detect(context.initial, scen, context=context)
         assert oracle.carried > 0 and oracle.node_solves > 0 and oracle.cache_hits > 0
 
-    def test_pairwise_bound_over_the_base(self):
-        # A trial of the range sweep (range 0.30, trial 18), cdi then ecdi
-        # on one context: in some checks the first unmet pair lies inside
-        # the base, and ecdi's first checks follow cdi's larger base.  The
-        # pairwise bound of every check, from the first unmet pair inside
-        # its base and the pairs of the members it adds, must be the
-        # assembled problem's bit for bit.
-        scen = range_trial(1, 18)
-        context = detectors.DetectionContext(scen)
-        oracle = context.oracle
-        check, inside_base = oracle.check_mask, []
-
-        def checked(tested, base=0):
-            rank = oracle._first_unmet(tested, base, sdp.mask_ids(tested & ~base))
-            problem = sdp.assemble(sdp.mask_ids(tested), scen)
-            assert oracle._bound(rank) == conic.pairwise_slack_bound(problem.compiled())
-            inside_base.append(rank == oracle._first_unmet(base, base, []) < len(oracle.certified))
-            return check(tested, base)
-
-        oracle.check_mask = checked
-        for detect in (detectors.cdi, detectors.ecdi):
-            detect(context.initial, scen, context=context)
-        assert any(inside_base)
-
     @SETTINGS
     @given(
         D=st.floats(0.05, 0.29),
@@ -335,10 +323,10 @@ class TestScenarioOracle:
     @example(D=0.151598, r0=0.375912, offsets=[3, 4, 7, 6, 1, 0])
     def test_near_tied_pairs(self, D, r0, offsets):
         # A star whose spokes sit at the same reported separation with
-        # claims a few ulps apart: pair thresholds nearly tie, and the
-        # certified step-down can reorder them.  The bound must still be
-        # the certified threshold of the first pair with the largest
-        # closed-form threshold, as on the assembled problem.
+        # claims a few ulps apart: pair thresholds nearly tie.  A
+        # sub-network must hold a
+        # refuting pair exactly when the assembled problem's pairwise bound
+        # reaches tol_infeas, and get that problem's status.
         axes = np.vstack([np.eye(3), -np.eye(3)])[:len(offsets)]
         entries = {}
         for k, off in enumerate(offsets, start=1):
@@ -351,7 +339,7 @@ class TestScenarioOracle:
             for spokes in itertools.combinations(range(1, len(offsets) + 1), size):
                 sub = (0, *spokes)
                 problem = sdp.assemble(sub, scen)
-                assert oracle.pairwise_bound(sub) == conic.pairwise_slack_bound(problem.compiled())
+                assert refutes(oracle, sdp.id_mask(sub)) == refuted_by_bound(oracle, problem)
                 assert oracle.check(sub) == sdp.check_feasibility(problem).status
 
     @SETTINGS

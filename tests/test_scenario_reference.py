@@ -3,15 +3,16 @@
 ``reference_measure``, ``reference_attack`` and ``reference_evidence`` keep
 the loop-per-pair code that measured distances, rewrote attackers' claims
 (one attacker at a time, filtering and re-appending the whole entry map) and
-collected a detection context's evidence; ``reference_reported`` keeps the
-per-pair ``np.linalg.norm`` of the reported-distance matrix, and
-``reference_nlos``, ``reference_collusion_target``, ``reference_adjacency``
-and ``reference_outgoing`` the loops of the discrepancy baseline, the
-default collusion target and the neighbor and source indexes over the
-entries dict.  The library's results must equal them exactly: the same
-floats, the same entry insertion order, the same reports and flags.  Row-wise norms, row sums and ``einsum``
-differ from the per-pair norm in the last bit on about one pair in eight, so
-swarms up to n=240 in cubes of half-width 1e-3 to 5 catch any of them.
+collected a detection context's evidence (its masks compared as
+``sdp.id_mask`` of the sets); ``reference_reported`` keeps the per-pair
+``np.linalg.norm`` of the reported-distance matrix, and ``reference_nlos``,
+``reference_collusion_target`` and ``reference_adjacency`` the loops of the
+discrepancy baseline, the default collusion target and the neighbor index
+over the entries dict.  The library's results must equal them exactly: the
+same floats, the same entry insertion order, the same reports and flags.
+Row-wise norms, row sums and ``einsum`` differ from the per-pair norm in the
+last bit on about one pair in eight, so swarms up to n=240 in cubes of
+half-width 1e-3 to 5 catch any of them.
 """
 
 from dataclasses import replace
@@ -22,6 +23,7 @@ import pytest
 import swarmsentry as ss
 from swarmsentry import attacks, seeds
 from swarmsentry.detectors import DetectionContext, nlos_baseline
+from swarmsentry.sdp import id_mask
 from swarmsentry.suspects import ReportedDistanceMatrix, build_reported_matrix, initial_suspects, violating_pairs
 from swarmsentry.swarm import DISTANCE_FLOOR, InvalidParameterError
 
@@ -143,6 +145,17 @@ def reference_evidence(scenario, window=None):
                 discredited=discredited, unvouched=unvouched)
 
 
+def assert_evidence_masks(ctx, expected, adjacency):
+    """The context's evidence masks are ``id_mask`` of the reference sets:
+    accusers and conflicting accusers (each id's own bit excluded), the
+    unvouched ids and each id's one-hop neighbors."""
+    n = len(ctx.hood_mask)
+    assert ctx.accuser_mask == [id_mask(expected["accusers"][k] - {k}) for k in range(n)]
+    assert ctx.conflicting_mask == [id_mask(expected["conflicting_accusers"][k] - {k}) for k in range(n)]
+    assert ctx.unvouched_mask == id_mask(expected["unvouched"])
+    assert ctx.hood_mask == [id_mask(adjacency.get(k, ())) for k in range(n)]
+
+
 def reference_nlos(e_r, e_n, m, seed):
     if m <= 0:
         return frozenset()
@@ -172,13 +185,6 @@ def reference_adjacency(ms):
         adj.setdefault(i, set()).add(j)
         adj.setdefault(j, set()).add(i)
     return {k: frozenset(v) for k, v in adj.items()}
-
-
-def reference_outgoing(ms):
-    out: dict[int, list] = {}
-    for (i, j) in sorted(ms.entries):
-        out.setdefault(i, []).append((i, j, ms.entries[(i, j)]))
-    return {i: tuple(t) for i, t in out.items()}
 
 
 def reference_collusion_target(swarm, measurements, malicious_ids):
@@ -289,8 +295,9 @@ def test_evidence_matches_reference(kind, dist_var, n, m, w=0.5):
     for seed in (1, 2):
         scen = attacked(kind, n, m, seed, dist_var, w)
         ctx = DetectionContext(scen)
-        for name, expected in reference_evidence(scen).items():
-            assert getattr(ctx, name) == expected, name
+        expected = reference_evidence(scen)
+        assert ctx.evidence == expected["evidence"]
+        assert_evidence_masks(ctx, expected, reference_adjacency(scen.measurements))
         assert ctx.initial == initial_suspects(ctx.reported, scen.measurements, scen.swarm.comm_range)
 
 
@@ -298,8 +305,8 @@ def test_evidence_without_measurements():
     swarm, _ = honest(5, 1, 0.0)
     ctx = DetectionContext(ss.AttackedScenario(swarm, ss.MeasurementSet(5, {})))
     assert ctx.evidence == {k: 0 for k in range(5)}
-    assert ctx.accusers == ctx.conflicting_accusers == {k: set() for k in range(5)}
-    assert ctx.discredited == ctx.unvouched == set()
+    assert ctx.accuser_mask == ctx.conflicting_mask == ctx.hood_mask == [0] * 5
+    assert ctx.unvouched_mask == 0
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -330,7 +337,6 @@ def test_baselines_and_views_match_reference(kind, n, m):
         for count in (0, 1, m, n):
             assert nlos_baseline(e_r, ms, count, seed) == reference_nlos(e_r, ms, count, seed)
         assert ms.adjacency == reference_adjacency(ms)
-        assert ms.outgoing == reference_outgoing(ms)
 
 
 def test_nlos_ties_and_missing_pairs():

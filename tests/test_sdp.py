@@ -87,21 +87,6 @@ class TestAssemble:
         assert res.status == FEASIBLE
         assert res.phase1_slack == -problem.epsilon  # the report itself is the witness
 
-    def test_constraint_counts(self):
-        scen = make_scenario("distributed", 4, seed=11)
-        problem = assemble(range(30), scen)
-        counts = problem.constraint_counts()
-        p = len(problem.constraint_pairs)
-        assert p == len(scen.measurements.entries)
-        assert counts == {
-            "range_upper": p,
-            "window_upper": p,
-            "window_lower": p,
-            "self_upper": 30,
-            "identity_block": 1,
-        }
-        assert problem.dimension() == 33
-
     def test_pairs_restricted_to_subnetwork(self):
         scen = make_scenario("distributed", 2, seed=12)
         sub = [0, 1, 2, 3, 4, 5]

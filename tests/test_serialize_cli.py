@@ -118,6 +118,11 @@ class TestDecoderTypes:
         (("swarm", "uavs", 2, "reported_pos", 2), False),
         (("plan", "seed"), 3.5),
         (("plan", "fake_offset_min"), "0.3"),
+        # The swarm's n, when present, is a JSON integer equal to its UAV count.
+        (("swarm", "n"), 99),
+        (("swarm", "n"), "30"),
+        (("swarm", "n"), 30.0),
+        (("swarm", "n"), True),
     ])
     def test_mistyped_value_refused(self, path, value):
         data = serialize.load_path(str(DATA / "scenario_n30_distributed.json"))
@@ -382,6 +387,11 @@ class TestCli:
         {"trials_per_point": 2.5},
         {"sweep_values": [2.5]},
         {"base_seed": -1},
+        # A flag must be a JSON boolean, and a count or scalar never one.
+        {"paper_replication": "false"},
+        {"timing": "no"},
+        {"trials_per_point": True},
+        {"comm_range": True},
     ])
     def test_sweep_rejects_bad_config_scalars(self, tmp_path, spoil):
         config = {"sweep_param": "malicious_count", "sweep_values": [1], "n_uavs": 12,
