@@ -41,9 +41,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    data = serialize.load_path(args.input)
-    swarm = serialize.swarm_from_dict(data["swarm"])
-    measurements = serialize.measurements_from_dict(data["measurements"])
+    swarm, measurements = serialize.generated_from_dict(serialize.load_path(args.input))
     scenario = build_attack(
         swarm,
         measurements,

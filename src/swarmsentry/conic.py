@@ -19,12 +19,13 @@ That question is answered with certified two-sided bounds by one decision
 core, which ``sdp.check_feasibility`` (one assembled sub-network) and
 ``sdp.ScenarioOracle`` (the detectors' sub-networks of one scenario) share:
 
-* the pairwise bound, ``PairThresholds.bound`` over the sub-network's pairs,
-  is closed form and certifies most infeasible sub-networks without any
-  solve.  ``sdp.ScenarioOracle`` needs only whether it reaches
-  ``tol_infeas``: it marks once per scenario the pairs that the float
-  predicate ``PairThresholds.satisfied`` rejects at ``tol_infeas``, which
-  certify that much on their own, and steps no threshold down;
+* the pairwise bound, ``pairwise_slack_bound``, is the largest relaxation
+  at which the float predicate ``PairThresholds.satisfied`` rejects a pair
+  of the sub-network, and certifies most infeasible sub-networks without
+  any solve.  The predicate is monotone in the relaxation, so the bound
+  reaches ``tol_infeas`` exactly when some pair is rejected at
+  ``tol_infeas``; ``sdp.ScenarioOracle``, which needs only that, marks
+  those pairs once per scenario;
 * the node loop, ``refine_witness``, starts from each node's own report
   with its best Gram surplus, and gives every node that misses the
   tolerance, worst first, one deterministic primal-dual interior-point
@@ -63,11 +64,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-_CERTIFY_STEPS = 64
 # The node solve stops once its duality gap is 1e-9 of the gap of a start
 # at the data's scale; its certificates usually stop it first, within two or
 # three steps of its start at the report.
@@ -192,21 +191,18 @@ def compile_constraints(
 
 @dataclass
 class PairThresholds:
-    """Per-pair data of the pairwise bound for the pair functionals of a
-    family: reported separation ``D``, bounds ``hi``/``lo`` and the
-    displacement budget ``eps``.
+    """The pair functionals of a family as the pairwise bound reads them:
+    reported separation ``D``, bounds ``hi``/``lo`` and the displacement
+    budget ``eps``.
 
     For a relaxation t, any lifted solution confines x_i to a ball of radius
     r = sqrt(eps + t) around the node's report and allows a Gram surplus of
     at most eps + t, so each pair functional is boxed into an interval
-    around D.  Each of the three conditions of ``satisfied`` (the interval
-    reaches down to hi, up to lo, and the slab is nonempty) is monotone in
-    t, so a pair's threshold ``tau`` is the largest of their roots:
-
-    * upper: (D - r)^2 <= hi + t holds from r = (D^2 - hi + eps) / (2 D)
-      while that root is at most D, else (and at D = 0) from t = -hi;
-    * lower: 3 r^2 + 2 D r + D^2 - lo - eps >= 0 holds from its positive root;
-    * nonempty: t >= (lo - hi) / 2.
+    around D.  ``satisfied`` asks whether that interval meets the pair's
+    slab: it reaches down to hi, up to lo, and the slab is nonempty.  Each
+    of the three conditions is monotone in t in floating point too, since
+    every operation in it is, so a pair rejected at some t is rejected at
+    every smaller one.
     """
 
     D: np.ndarray
@@ -220,84 +216,42 @@ class PairThresholds:
         D = np.linalg.norm(cons.positions[cons.owner[sl]] - cons.anchor[sl], axis=1)
         return cls(D, cons.hi[sl], cons.lo[sl], cons.epsilon)
 
-    def satisfied(self, t, k=slice(None)):
-        """The floating-point predicate: pair(s) ``k`` admit relaxation ``t``."""
+    def satisfied(self, t):
+        """The floating-point predicate: which pairs admit relaxation ``t``."""
         radius = np.sqrt(self.eps + t)
-        D, hi, lo = self.D[k], self.hi[k], self.lo[k]
-        amin = np.maximum(0.0, D - radius) ** 2
-        amax = (D + radius) ** 2 + self.eps + t
-        ok_upper = amin <= hi + t
-        ok_lower = amax >= lo - t
-        ok_nonempty = lo - t <= hi + t
+        amin = np.maximum(0.0, self.D - radius) ** 2
+        amax = (self.D + radius) ** 2 + self.eps + t
+        ok_upper = amin <= self.hi + t
+        ok_lower = amax >= self.lo - t
+        ok_nonempty = self.lo - t <= self.hi + t
         return ok_upper & ok_lower & ok_nonempty
-
-    @cached_property
-    def unmet(self) -> np.ndarray:
-        """The pairs that admit no relaxation t = 0."""
-        return ~self.satisfied(0.0)
-
-    @cached_property
-    def tau(self) -> np.ndarray:
-        """Each pair's closed-form threshold."""
-        D, hi, lo, eps = self.D, self.hi, self.lo, self.eps
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            r_up = (D * D - hi + eps) / (2.0 * D)
-            t_up = np.where((D > 0) & (r_up <= D), np.maximum(r_up, 0.0) ** 2 - eps, -hi)
-            # Positive root of the lower condition, in its cancellation-free form.
-            disc = 3.0 * (lo + eps) - 2.0 * D * D
-            den = D + np.sqrt(np.maximum(disc, 0.0))
-            r_lo = np.where(den > 0, (lo + eps - D * D) / den, 0.0)
-            t_lo = np.where(disc >= 0, np.maximum(r_lo, 0.0) ** 2 - eps, -np.inf)
-        return np.maximum(np.maximum(t_up, t_lo), (lo - hi) / 2.0)
-
-    @cached_property
-    def ranked(self) -> np.ndarray:
-        """The unmet pairs by descending ``tau``, ties by index."""
-        unmet = np.flatnonzero(self.unmet)
-        return unmet[np.argsort(-self.tau[unmet], kind="stable")]
-
-    @cached_property
-    def certified(self) -> np.ndarray:
-        """Each ranked pair's threshold stepped down until the float
-        predicate rejects that pair, so it certifies as an exact bisection
-        would; zero where no positive relaxation is rejected.
-
-        All pairs step at once, each by one ulp first, then by doubling
-        steps: rounding in the closed form rarely puts ``tau`` more than a
-        few ulps past the float predicate.
-        """
-        pairs = self.ranked
-        bound, step = self.tau[pairs], np.zeros(len(pairs))
-        out = np.zeros(len(pairs))
-        live = np.arange(len(pairs))
-        for _ in range(_CERTIFY_STEPS):
-            # Not ``> 0``: a NaN threshold stays, and the predicate rejects it.
-            live = live[~(bound[live] <= 0.0)]
-            rejected = ~self.satisfied(bound[live], pairs[live])
-            out[live[rejected]] = bound[live[rejected]]
-            live = live[~rejected]
-            if not live.size:
-                break
-            b = bound[live]
-            step[live] = np.where(step[live] > 0.0, 2.0 * step[live], b - np.nextafter(b, -np.inf))
-            bound[live] = b - step[live]
-        return out
-
-    def bound(self) -> float:
-        """Certified lower bound on the slack of the pairs: the certified
-        threshold of the first unmet pair with the largest ``tau``, or zero
-        when each pair admits t = 0.
-
-        Nonnegative by construction; zero is vacuous (no violation provable
-        this way).
-        """
-        return float(self.certified[0]) if self.certified.size else 0.0
 
 
 def pairwise_slack_bound(cons: CompiledConstraints) -> float:
     """Certified lower bound on the optimal slack from single-pair analysis:
-    ``PairThresholds.bound`` over every pair of ``cons``."""
-    return PairThresholds.of(cons).bound()
+    the largest float t at which ``PairThresholds.satisfied`` rejects some
+    pair of ``cons``, or zero when every pair admits t = 0.
+
+    The predicate is monotone in t, so the bound reaches a tolerance exactly
+    when some pair is rejected at that tolerance.  Nonnegative doubles sort
+    as their bit patterns do, so it is found by bisecting those patterns
+    between 0.0, which some pair rejects, and inf, which every pair admits:
+    at most 63 more calls of the predicate, each over every pair.
+    """
+    pairs = PairThresholds.of(cons)
+    if pairs.satisfied(0.0).all():
+        return 0.0
+    rejected, admitted = 0, int(np.float64(np.inf).view(np.int64))
+    # Near the top of the range the squares overflow to inf, which keeps
+    # each condition monotone.
+    with np.errstate(over="ignore"):
+        while admitted - rejected > 1:
+            mid = (rejected + admitted) // 2
+            if pairs.satisfied(float(np.int64(mid).view(np.float64))).all():
+                admitted = mid
+            else:
+                rejected = mid
+    return float(np.int64(rejected).view(np.float64))
 
 
 def dual_slack_bound(cons: CompiledConstraints, w_up: np.ndarray, w_lo: np.ndarray) -> float:

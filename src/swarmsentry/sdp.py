@@ -201,7 +201,10 @@ def check_feasibility(problem: FeasibilityProblem, opts: OracleOptions | None = 
     Runs the oracle's decision core (see ``conic``): the pairwise bound
     (``conic.pairwise_slack_bound``), then, unless it already proves
     infeasibility, the node loop (``conic.refine_witness``) from the
-    reports, and ``verdict`` on the two bounds.  Only this path returns
+    reports, and ``verdict`` on the two bounds.  The pairwise bound reaches
+    ``tol_infeas`` exactly when ``ScenarioOracle`` finds a refuting pair in
+    the same sub-network, so both paths refute by one pair rule; this one
+    also reports the bound itself.  Only this path returns
     positions, so only it pulls each solved node's point back toward the
     node's report as far as it stays within min(tol_feas, 0)
     (``conic.retract``).  A node solve that loses precision, or whose
@@ -306,10 +309,9 @@ class ScenarioOracle:
       at ``tol_infeas`` certifies t* > tol_infeas, so each node keeps the
       mask of the nodes it shares such a *refuting* pair with
       (``refuting``), and a sub-network holding a refuting pair is
-      infeasible.  That predicate is monotone in t, so this is the status
-      the pairwise bound gives wherever its certified threshold reaches
-      ``tol_infeas``; only a threshold within a few hundred ulps of
-      ``tol_infeas`` can be refuted here and stepped down below it there;
+      infeasible.  That predicate is monotone in t, so a sub-network holds
+      a refuting pair exactly when its pairwise bound
+      (``conic.pairwise_slack_bound``) reaches ``tol_infeas``;
     * each member is looked up by the mask of its measured counterparts in
       the sub-network (the rows it owns there), and its bounds are kept
       per (UAV, that mask).  A member not yet kept first takes its report

@@ -99,6 +99,12 @@ def measurements_from_dict(data: dict) -> MeasurementSet:
     return MeasurementSet.from_arrays(n, items[0::3], items[1::3], np.array(r, dtype=float))
 
 
+@_decoder
+def generated_from_dict(data: dict) -> tuple[Swarm, MeasurementSet]:
+    """The swarm and measurements of a ``generate`` output."""
+    return swarm_from_dict(data["swarm"]), measurements_from_dict(data["measurements"])
+
+
 def plan_to_dict(plan: AttackPlan | None) -> dict | None:
     if plan is None:
         return None
@@ -347,6 +353,8 @@ def load_path(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidParameterError(f"{path}: not UTF-8 text ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise InvalidParameterError(f"{path}: not valid JSON ({exc})") from exc
 

@@ -169,7 +169,7 @@ class TestNodeSolveMemo:
         ("distributed", 4, 8, 1e-4), ("collusion", 4, 0, 1e-4), ("mixed", 6, 8, 1e-6),
     ])
     def test_memo_changes_nothing_but_the_work(self, monkeypatch, kind, m, seed, dist_var):
-        # The per-run scenario oracle keeps pair thresholds and per-node
+        # The per-run scenario oracle keeps refuting pairs and per-node
         # verdicts for the run: every sub-network a run asks about must get
         # the status that check_feasibility gives its assembled problem,
         # while node verdicts are actually reused (these scenarios need node

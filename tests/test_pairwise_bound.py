@@ -1,11 +1,14 @@
-"""The closed-form pairwise bound against the bisection it replaced.
+"""The pairwise bound against a reference bisection.
 
-``reference_bound`` is the 80-step vectorized bisection over the same
-floating-point predicate: every pair's threshold is bracketed between a
-rejected and an accepted relaxation, and the largest rejected one is the
-bound.  Both are determined only up to the rounding of that predicate, so
-agreement is measured relative to the data's scale.
+``conic.pairwise_slack_bound`` is the last float at which the predicate
+rejects a pair.  ``reference_bound`` is an 80-step vectorized bisection over
+values of the same floating-point predicate: every pair's switch is
+bracketed between a rejected and an accepted relaxation, and the largest
+rejected one is its bound.  It stops within the rounding of that predicate,
+so agreement is measured relative to the data's scale.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -35,21 +38,6 @@ def reference_bound(D, hi, lo, eps, steps=80):
         t_lo = np.where(ok, t_lo, mid)
         t_hi = np.where(ok, mid, t_hi)
     return float(np.max(t_lo))
-
-
-def stepped_down(tau, D, hi, lo, eps):
-    """One pair's threshold stepped down, by one ulp and then by doubling
-    steps, until the float predicate rejects that pair alone; zero when no
-    positive relaxation is rejected."""
-    bound, step = tau, 0.0
-    for _ in range(64):
-        if bound <= 0.0:
-            return 0.0
-        if not satisfied(bound, D, hi, lo, eps)[0]:
-            return bound
-        step = 2.0 * step if step else bound - float(np.nextafter(bound, -np.inf))
-        bound -= step
-    return 0.0
 
 
 def one_node_family(D, hi, lo, eps):
@@ -103,22 +91,10 @@ def test_closed_form_matches_bisection(data, eps):
     check_against_reference(D, hi, lo, eps)
 
 
-@given(pairs, epsilons)
-@settings(max_examples=300, deadline=None)
-@example(data=[(0.0, 0.13322961856046525, 0.10832195502033382)], eps=0.01)
-def test_certified_in_one_pass_matches_each_pair_alone(data, eps):
-    # ``PairThresholds.certified`` steps every unmet pair down at once.
-    D, hi, lo = (np.array(a, dtype=float) for a in zip(*((d, h, h - gap) for d, h, gap in data)))
-    thresholds = conic.PairThresholds(D, hi, lo, eps)
-    expected = [stepped_down(float(thresholds.tau[k]), D[k:k + 1], hi[k:k + 1], lo[k:k + 1], eps)
-                for k in thresholds.ranked.tolist()]
-    assert thresholds.certified.tolist() == expected
-
-
 def family_at(kind, D, eps, t):
-    """One pair at separation ``D`` whose ``kind`` condition of
-    ``conic.PairThresholds`` has its root at relaxation ``t``, the other two
-    holding there: (hi, lo)."""
+    """One pair at separation ``D`` whose ``kind`` condition of the
+    predicate has its root at relaxation ``t``, the other two holding
+    there: (hi, lo)."""
     r = np.sqrt(t + eps)
     if kind == "upper":
         hi = (D - r) ** 2 - t
@@ -129,29 +105,21 @@ def family_at(kind, D, eps, t):
     return D * D, D * D + 2.0 * t   # nonempty
 
 
-@given(
-    kind=st.sampled_from(("upper", "lower", "nonempty")),
-    D=st.floats(0.05, 1.0),
-    eps=epsilons,
-    ulps=st.integers(-40, 40),
-)
-@settings(max_examples=300, deadline=None)
-def test_certified_at_tol_infeas_refutes(kind, D, eps, ulps):
+def test_bound_reaches_tol_infeas_iff_refuted():
     # The scenario oracle refutes a sub-network by a pair that the float
-    # predicate rejects at tol_infeas, where the pairwise bound takes a
-    # pair's stepped-down threshold.  Each condition of the predicate is
-    # monotone in t in floating point too, so a certified threshold at or
-    # past tol_infeas means the pair is rejected at tol_infeas itself.  One
-    # pair whose threshold lies within 40 ulps of tol_infeas on each side.
+    # predicate rejects at tol_infeas, and check_feasibility by a pairwise
+    # bound at or past tol_infeas, so the two must part on no pair.  One
+    # pair per family, one condition's root within 400 ulps of tol_infeas
+    # (every eighth ulp), where rounding decides the predicate.
     tol = sdp.OracleOptions().tol_infeas
-    t = tol + ulps * float(np.spacing(tol))
-    assume(t + eps > 0.0 and (kind != "upper" or np.sqrt(t + eps) <= D))
-    hi, lo = family_at(kind, D, eps, t)
-    thresholds = conic.PairThresholds(np.array([D]), np.array([hi]), np.array([lo]), eps)
-    assume(abs(float(thresholds.tau[0]) - tol) <= 40 * float(np.spacing(tol)))
-    certified = thresholds.certified
-    if certified.size and certified[0] >= tol:
-        assert not thresholds.satisfied(tol)[0]
+    for kind, D, eps in itertools.product(("upper", "lower", "nonempty"), np.linspace(0.05, 1.0, 10), (1e-5, 1e-6)):
+        for ulps in range(-400, 401, 8):
+            t = tol + ulps * float(np.spacing(tol))
+            if kind == "upper" and np.sqrt(t + eps) > D:
+                continue
+            D_, hi, lo = (np.array([v]) for v in (D, *family_at(kind, D, eps, t)))
+            bound = conic.pairwise_slack_bound(one_node_family(D_, hi, lo, eps))
+            assert (bound >= tol) == (not satisfied(tol, D_, hi, lo, eps)[0]), (kind, D, eps, ulps)
 
 
 @given(st.floats(-0.1, 1.0), st.floats(-0.2, 1.0), epsilons)

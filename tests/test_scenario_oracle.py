@@ -1,6 +1,6 @@
 """The detectors' per-run scenario oracle against the assembled-problem oracle.
 
-``sdp.ScenarioOracle`` decides a sub-network from pair thresholds and
+``sdp.ScenarioOracle`` decides a sub-network from refuting pairs and
 per-node verdicts kept for the whole run, never building the problem.  Every
 sub-network it is asked about must get the status ``check_feasibility`` gives
 ``assemble`` of it, whatever the order of the questions, and hold a
@@ -323,8 +323,8 @@ class TestScenarioOracle:
     @example(D=0.151598, r0=0.375912, offsets=[3, 4, 7, 6, 1, 0])
     def test_near_tied_pairs(self, D, r0, offsets):
         # A star whose spokes sit at the same reported separation with
-        # claims a few ulps apart: pair thresholds nearly tie.  A
-        # sub-network must hold a
+        # claims a few ulps apart: the pairs switch at nearly the same
+        # relaxation.  A sub-network must hold a
         # refuting pair exactly when the assembled problem's pairwise bound
         # reaches tol_infeas, and get that problem's status.
         axes = np.vstack([np.eye(3), -np.eye(3)])[:len(offsets)]

@@ -378,6 +378,30 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("spoil", [
+        lambda d: {"measurements": d["measurements"]},
+        lambda d: {"swarm": d["swarm"]},
+        lambda d: [d],
+    ])
+    def test_attack_rejects_malformed_swarm_file(self, tmp_path, capsys, spoil):
+        swarm_path = tmp_path / "swarm.json"
+        assert run_cli("generate", "--n", "8", "--seed", "1", "--out", str(swarm_path)) == 0
+        swarm_path.write_text(json.dumps(spoil(json.loads(swarm_path.read_text()))))
+        assert run_cli("attack", str(swarm_path), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("error: generated_from_dict: malformed input")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["attack", "detect", "oracle-check", "sweep"])
+    def test_non_utf8_input_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "input.json"
+        path.write_bytes(b'{"n": "\xff"}')
+        with pytest.raises(ss.InvalidParameterError, match="not UTF-8 text"):
+            serialize.load_path(str(path))
+        args = ("sweep", "--config", str(path)) if command == "sweep" else (command, str(path))
+        assert run_cli(*args, "--out", str(tmp_path / "out")) == 2
+        assert "not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spoil", [
         {"comm_range": float("nan")},
         {"cube_half_width": float("inf")},
         {"pos_var": -1e-6},
