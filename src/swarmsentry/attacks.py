@@ -32,6 +32,7 @@ from .swarm import (
     MeasurementSet,
     Swarm,
     _is_id,
+    row_blocks,
     row_norms,
 )
 
@@ -145,21 +146,30 @@ def _spoof(
     reported = attacked.reported_positions()
     attackers = np.array(sorted(fakes), dtype=np.intp)
     ids = np.arange(swarm.n)
-    # One row of distances per attacker, each the per-pair norm (row_norms).
-    dist = row_norms((reported[attackers, None, :] - reported[None, :, :]).reshape(-1, 3)).reshape(-1, swarm.n)
-    in_reach = ((dist <= swarm.comm_range) | (ids == target)) & (ids != attackers[:, None])
-    # Row-major: each attacker's claims in id order, attackers in id order.
-    row, js = np.nonzero(in_reach)
+    claimants, claimed, dists = [], [], []
+    # A block of attackers at a time, so the (attackers, n, 3) differences
+    # are never built whole.
+    for a, b in row_blocks(len(attackers), 3 * swarm.n):
+        block = attackers[a:b]
+        # One row of distances per attacker, each the per-pair norm (row_norms).
+        dist = row_norms((reported[block, None, :] - reported[None, :, :]).reshape(-1, 3)).reshape(-1, swarm.n)
+        in_reach = ((dist <= swarm.comm_range) | (ids == target)) & (ids != block[:, None])
+        # Row-major: each attacker's claims in id order, attackers in id order.
+        row, js = np.nonzero(in_reach)
+        claimants.append(block[row])
+        claimed.append(js)
+        dists.append(dist[row, js])
+    dists = np.concatenate(dists)
     # One draw of k values equals k scalar draws, in the same order.
-    noise = rng.normal(0.0, np.sqrt(dist_var), size=js.size) if dist_var > 0 else 0.0
-    claims = np.maximum(dist[row, js] + noise, DISTANCE_FLOOR)
+    noise = rng.normal(0.0, np.sqrt(dist_var), size=dists.size) if dist_var > 0 else 0.0
+    claims = np.maximum(dists + noise, DISTANCE_FLOOR)
     is_attacker = np.zeros(swarm.n, dtype=bool)
     is_attacker[attackers] = True
     keep = ~is_attacker[measurements.src]
     return attacked, MeasurementSet.from_arrays(
         swarm.n,
-        np.concatenate([measurements.src[keep], attackers[row]]),
-        np.concatenate([measurements.dst[keep], js]),
+        np.concatenate([measurements.src[keep], *claimants]),
+        np.concatenate([measurements.dst[keep], *claimed]),
         np.concatenate([measurements.r[keep], claims]),
     )
 

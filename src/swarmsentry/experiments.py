@@ -85,6 +85,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise InvalidParameterError("config must be a JSON object")
         known = {f.name for f in cls.__dataclass_fields__.values()}
         unknown = set(data) - known
         if unknown:

@@ -357,6 +357,8 @@ def load_path(path: str) -> dict:
             raise InvalidParameterError(f"{path}: not UTF-8 text ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise InvalidParameterError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise InvalidParameterError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def dump_path(path: str, data: dict) -> None:

@@ -21,6 +21,10 @@ from . import seeds
 # "an entry exists iff r > 0" stays a valid adjacency convention.
 DISTANCE_FLOOR = 1e-12
 
+# Entries per block of rows when pairwise arrays are built (``row_blocks``):
+# each temporary holds about this many, never n x n of them.
+BLOCK_ELEMENTS = 1 << 14
+
 
 class InvalidParameterError(ValueError):
     """Raised when an operation receives out-of-contract parameters."""
@@ -318,6 +322,13 @@ def apply_position_noise(swarm: Swarm, params: NoiseParams, seed: int) -> Swarm:
     return replace(swarm, uavs=_uavs_from_rows(range(swarm.n), true, reported, malicious))
 
 
+def row_blocks(rows: int, width: int) -> list[tuple[int, int]]:
+    """The [a, b) ranges that cover ``rows`` rows of ``width`` entries in
+    order, each of about ``BLOCK_ELEMENTS`` entries (at least one row)."""
+    step = max(1, BLOCK_ELEMENTS // width)
+    return [(a, min(a + step, rows)) for a in range(0, rows, step)]
+
+
 def measure_distances(swarm: Swarm, params: NoiseParams, seed: int) -> MeasurementSet:
     """Measure every directed pair whose true distance is within comm range.
 
@@ -325,19 +336,31 @@ def measure_distances(swarm: Swarm, params: NoiseParams, seed: int) -> Measureme
     where the counterpart physically is, not where it claims to be).  The
     (i, j) and (j, i) noise draws are independent, so directed entries may
     disagree slightly.
+
+    The pairs are taken a block of rows at a time (``row_blocks``), so
+    memory is O(block * n) besides the claims themselves: no n x n array
+    is built.  All n * n noise draws are still made, row by row, so the
+    ``DIST_NOISE`` stream gives each pair the value one (n, n) draw would.
     """
-    # sqrt(dx^2 + dy^2 + dz^2), added in that order: what a sum over the
-    # coordinate axis of the (N, N, 3) differences gives, without that array.
-    dx, dy, dz = (c[:, None] - c for c in swarm.true_positions().T)
-    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-    in_range = dist <= swarm.comm_range
-    np.fill_diagonal(in_range, False)
-    if params.dist_var > 0:
-        rng = seeds.stream(seed, seeds.DIST_NOISE)
-        dist = dist + rng.normal(0.0, np.sqrt(params.dist_var), size=(swarm.n, swarm.n))
-    # Row-major, so entries come in (i, j) order.
-    i, j = np.nonzero(in_range)
-    return MeasurementSet.from_arrays(swarm.n, i, j, np.maximum(dist[i, j], DISTANCE_FLOOR))
+    pos, n = swarm.true_positions(), swarm.n
+    rng = seeds.stream(seed, seeds.DIST_NOISE) if params.dist_var > 0 else None
+    src, dst, r = [], [], []
+    for a, b in row_blocks(n, n):
+        # sqrt(dx^2 + dy^2 + dz^2), added in that order: what a sum over the
+        # coordinate axis of the (b - a, N, 3) differences gives, without that array.
+        dx, dy, dz = (c[a:b, None] - c for c in pos.T)
+        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+        in_range = dist <= swarm.comm_range
+        in_range[np.arange(b - a), np.arange(a, b)] = False
+        if rng is not None:
+            dist = dist + rng.normal(0.0, np.sqrt(params.dist_var), size=(b - a, n))
+        # Row-major, so entries come in (i, j) order.
+        i, j = np.nonzero(in_range)
+        src.append(i + a)
+        dst.append(j)
+        r.append(dist[i, j])
+    return MeasurementSet.from_arrays(n, np.concatenate(src), np.concatenate(dst),
+                                      np.maximum(np.concatenate(r), DISTANCE_FLOOR))
 
 
 def neighbor_set(measurements: MeasurementSet, k: int) -> frozenset[int]:

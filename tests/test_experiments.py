@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -148,6 +149,23 @@ class TestTrials:
         scen = build_scenario(config.at_point(2), trial_seed(5, 1, 0))
         init = initial_suspects(build_reported_matrix(scen), scen.measurements, scen.swarm.comm_range)
         assert trial.r_m == pytest.approx(malicious_ratio(init))
+
+    @pytest.mark.parametrize("attack", ["distributed", "collusion", "mixed"])
+    def test_scenario_memory_is_below_one_square_array(self, attack):
+        # At the default density (30 UAVs in a cube of half-width 0.5),
+        # n=2000 UAVs make under 30,000 claims, while one n x n float64
+        # array takes 32 MB.  Pairwise arrays built a block of rows at a
+        # time keep the peak a few MB.
+        n = 2000
+        config = ExperimentConfig(attack=attack, n_uavs=n, malicious_count=n // 10,
+                                  cube_half_width=0.5 * (n / 30) ** (1 / 3))
+        tracemalloc.start()
+        try:
+            build_scenario(config, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 
 class TestSweep:

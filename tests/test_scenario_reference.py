@@ -8,8 +8,10 @@ collected a detection context's evidence (its masks compared as
 ``np.linalg.norm`` of the reported-distance matrix, and ``reference_nlos``,
 ``reference_collusion_target`` and ``reference_adjacency`` the loops of the
 discrepancy baseline, the default collusion target and the neighbor index
-over the entries dict.  The library's results must equal them exactly: the
-same floats, the same entry insertion order, the same reports and flags.
+over the entries dict.  ``one_shot_measure`` and ``one_shot_spoof`` keep the
+whole-array passes that the library now makes a block of rows at a time.
+The library's results must equal them exactly: the same floats, the same
+entry insertion order, the same reports and flags.
 Row-wise norms, row sums and ``einsum`` differ from the per-pair norm in the
 last bit on about one pair in eight, so swarms up to n=240 in cubes of
 half-width 1e-3 to 5 catch any of them.
@@ -21,11 +23,12 @@ import numpy as np
 import pytest
 
 import swarmsentry as ss
-from swarmsentry import attacks, seeds
+from swarmsentry import attacks, experiments, seeds
 from swarmsentry.detectors import DetectionContext, nlos_baseline
+from swarmsentry.experiments import ExperimentConfig, build_scenario
 from swarmsentry.sdp import id_mask
 from swarmsentry.suspects import ReportedDistanceMatrix, build_reported_matrix, initial_suspects, violating_pairs
-from swarmsentry.swarm import DISTANCE_FLOOR, InvalidParameterError
+from swarmsentry.swarm import BLOCK_ELEMENTS, DISTANCE_FLOOR, InvalidParameterError, row_blocks, row_norms
 
 KINDS = ("distributed", "collusion", "mixed")
 DIST_VARS = (0.0, 1e-6, 1e-3)
@@ -47,6 +50,53 @@ def reference_measure(swarm, params, seed):
             if i != j and dist[i, j] <= swarm.comm_range:
                 entries[(i, j)] = max(dist[i, j] + noise[i, j], DISTANCE_FLOOR)
     return entries
+
+
+def one_shot_measure(swarm, params, seed):
+    """``measure_distances`` as one (n, n) pass: every difference, distance,
+    range mask and noise draw built whole."""
+    dx, dy, dz = (c[:, None] - c for c in swarm.true_positions().T)
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+    in_range = dist <= swarm.comm_range
+    np.fill_diagonal(in_range, False)
+    if params.dist_var > 0:
+        rng = seeds.stream(seed, seeds.DIST_NOISE)
+        dist = dist + rng.normal(0.0, np.sqrt(params.dist_var), size=(swarm.n, swarm.n))
+    i, j = np.nonzero(in_range)
+    return ss.MeasurementSet.from_arrays(swarm.n, i, j, np.maximum(dist[i, j], DISTANCE_FLOOR))
+
+
+def one_shot_spoof(swarm, measurements, fakes, dist_var, rng, target=None):
+    """``attacks._spoof`` with its (attackers, n, 3) differences built whole."""
+    uavs = list(swarm.uavs)
+    for m_id, fake in fakes.items():
+        uavs[m_id] = replace(uavs[m_id], reported_pos=fake, ground_truth_malicious=True)
+    attacked = replace(swarm, uavs=tuple(uavs))
+    reported = attacked.reported_positions()
+    attackers = np.array(sorted(fakes), dtype=np.intp)
+    ids = np.arange(swarm.n)
+    dist = row_norms((reported[attackers, None, :] - reported[None, :, :]).reshape(-1, 3)).reshape(-1, swarm.n)
+    in_reach = ((dist <= swarm.comm_range) | (ids == target)) & (ids != attackers[:, None])
+    row, js = np.nonzero(in_reach)
+    noise = rng.normal(0.0, np.sqrt(dist_var), size=js.size) if dist_var > 0 else 0.0
+    claims = np.maximum(dist[row, js] + noise, DISTANCE_FLOOR)
+    is_attacker = np.zeros(swarm.n, dtype=bool)
+    is_attacker[attackers] = True
+    keep = ~is_attacker[measurements.src]
+    return attacked, ss.MeasurementSet.from_arrays(
+        swarm.n,
+        np.concatenate([measurements.src[keep], attackers[row]]),
+        np.concatenate([measurements.dst[keep], js]),
+        np.concatenate([measurements.r[keep], claims]),
+    )
+
+
+def assert_same_claims(got, expected):
+    """The same entries in the same order, each distance to the bit."""
+    assert got.n == expected.n
+    for name in ("src", "dst", "r"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def reference_claims(uavs, entries, attacker_ids, d, dist_var, rng, target=None):
@@ -219,6 +269,36 @@ def test_measure_matches_reference(n, dist_var):
     swarm, noise = honest(n, 3, dist_var)
     got = ss.measure_distances(swarm, noise, seed=3)
     assert list(got.entries.items()) == list(reference_measure(swarm, noise, 3).items())
+
+
+@pytest.mark.parametrize("dist_var", DIST_VARS)
+@pytest.mark.parametrize("n", (2, 100, 241, 300))
+def test_blocked_measure_matches_one_shot(n, dist_var):
+    # n=2 and n=100 are one block of rows; 241 and 300 are several, the
+    # last one short.
+    blocks = row_blocks(n, n)
+    assert (len(blocks) == 1) == (n * n <= BLOCK_ELEMENTS)
+    assert blocks[-1][1] == n
+    swarm, noise = honest(n, 3, dist_var, w=0.5 * (n / 30) ** (1 / 3))
+    assert_same_claims(ss.measure_distances(swarm, noise, seed=3), one_shot_measure(swarm, noise, 3))
+
+
+@pytest.mark.parametrize("dist_var", DIST_VARS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocked_build_scenario_matches_one_shot(kind, dist_var, monkeypatch):
+    # 40 attackers at n=300 are three blocks of the spoof step, the last
+    # one short; the mixed attack's two phases split them 20 and 20.
+    n, m = 300, 40
+    assert len(row_blocks(m, 3 * n)) == 3
+    config = ExperimentConfig(attack=kind, n_uavs=n, malicious_count=m, dist_var=dist_var,
+                              cube_half_width=0.5 * (n / 30) ** (1 / 3))
+    got = build_scenario(config, 4)
+    monkeypatch.setattr(experiments, "measure_distances", one_shot_measure)
+    monkeypatch.setattr(attacks, "_spoof", one_shot_spoof)
+    expected = build_scenario(config, 4)
+    assert_same_claims(got.measurements, expected.measurements)
+    assert got.swarm.reported_positions().tobytes() == expected.swarm.reported_positions().tobytes()
+    assert got.truth() == expected.truth() and got.plan == expected.plan
 
 
 @pytest.mark.parametrize("n, m", SIZES)

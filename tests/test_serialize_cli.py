@@ -287,6 +287,14 @@ class TestCli:
         scen_path.write_text(json.dumps(data))
         assert run_cli("detect", str(scen_path)) == 2
 
+    def test_detect_rejects_deeply_nested_json(self, tmp_path, capsys):
+        # ``json.load`` raises RecursionError, not a decode error, on this.
+        scen_path = tmp_path / "scenario.json"
+        scen_path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run_cli("detect", str(scen_path), "--out", str(tmp_path / "out")) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("spoil", [
         lambda d: d["node_order"].__setitem__(0, 0.5),
         lambda d: d["node_order"].__setitem__(1, 1.0),
@@ -423,6 +431,14 @@ class TestCli:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))  # writes NaN / Infinity literals
         assert run_cli("sweep", "--config", str(config_path)) == 2
+
+    @pytest.mark.parametrize("config", [[], "", [1, 2], "x", 3, None])
+    def test_sweep_rejects_config_that_is_not_an_object(self, tmp_path, capsys, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert run_cli("sweep", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", [
         ("generate", "--cube-half-width", "nan"),
