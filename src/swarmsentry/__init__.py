@@ -14,7 +14,6 @@ from .swarm import (
     apply_position_noise,
     generate_swarm,
     measure_distances,
-    neighbor_set,
 )
 from .attacks import (
     AttackPlan,

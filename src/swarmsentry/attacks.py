@@ -166,7 +166,7 @@ def _spoof(
     is_attacker = np.zeros(swarm.n, dtype=bool)
     is_attacker[attackers] = True
     keep = ~is_attacker[measurements.src]
-    return attacked, MeasurementSet.from_arrays(
+    return attacked, MeasurementSet(
         swarm.n,
         np.concatenate([measurements.src[keep], *claimants]),
         np.concatenate([measurements.dst[keep], *claimed]),

@@ -110,12 +110,6 @@ class CompiledConstraints:
             vals = vals + s[self.owner]
         return vals
 
-    def max_violation(self, X: np.ndarray, s: np.ndarray | None = None) -> float:
-        vals = self.values_at(X, s)
-        over = vals - self.hi
-        under = self.lo - vals
-        return float(np.max(np.maximum(over, under)))
-
     def node(self, i: int) -> "CompiledConstraints":
         """The one-node family of node ``i``: its pair functionals, then its
         self functional, against the same fixed anchors."""

@@ -29,6 +29,7 @@ from .suspects import (
     ReportedDistanceMatrix,
     SuspectSets,
     build_reported_matrix,
+    common_size,
     partition,
     violation_counts,
 )
@@ -378,6 +379,7 @@ def nlos_baseline(
     which each id first appeared, keeping the largest-error spirit while
     matching the requested sample size.
     """
+    common_size(e_r, e_n)
     if m <= 0:
         return frozenset()
     # ``**`` on each float as Python computes it: numpy squares by one

@@ -96,9 +96,6 @@ class FeasibilityProblem:
     def n_sub(self) -> int:
         return len(self.node_order)
 
-    def dimension(self) -> int:
-        return 3 + self.n_sub
-
     def compiled(self) -> conic.CompiledConstraints:
         local = {uid: k for k, uid in enumerate(self.node_order)}
         positions = np.array([self.reported_positions[uid] for uid in self.node_order])
@@ -116,10 +113,6 @@ class OracleResult:
     recovered_positions: dict[int, np.ndarray] | None = None
     rank_gap: float | None = None
     diagnostics: dict[str, float | str] = field(default_factory=dict)
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == FEASIBLE
 
 
 def pair_constraint_matrix(reported_pos: np.ndarray, local_index: int, n_sub: int) -> np.ndarray:

@@ -96,7 +96,7 @@ def measurements_from_dict(data: dict) -> MeasurementSet:
     items = [*chain.from_iterable(rows)]
     r = _typed(items[2::3], _NUMBER, "measured distances must be JSON numbers")
     # Ids pass as decoded: ``MeasurementSet`` rejects any that is not an integer.
-    return MeasurementSet.from_arrays(n, items[0::3], items[1::3], np.array(r, dtype=float))
+    return MeasurementSet(n, items[0::3], items[1::3], np.array(r, dtype=float))
 
 
 @_decoder

@@ -49,14 +49,19 @@ def build_reported_matrix(scenario: AttackedScenario) -> ReportedDistanceMatrix:
     """Euclidean distances between reported positions, on the claimed adjacency."""
     pos = scenario.swarm.reported_positions()
     ms = scenario.measurements
-    return ReportedDistanceMatrix.from_arrays(scenario.n, ms.src, ms.dst, row_norms(pos[ms.src] - pos[ms.dst]))
+    return ReportedDistanceMatrix(scenario.n, ms.src, ms.dst, row_norms(pos[ms.src] - pos[ms.dst]))
+
+
+def common_size(e_r: ReportedDistanceMatrix, e_n: MeasurementSet) -> int:
+    """The swarm size n that both matrices are built for."""
+    if e_r.n != e_n.n:
+        raise InvalidParameterError("matrix dimensions disagree")
+    return e_n.n
 
 
 def _violations(e_r: ReportedDistanceMatrix, e_n: MeasurementSet, d: float) -> np.ndarray:
     """The violating pairs, each coded i * n + j, in sorted order."""
-    if e_r.n != e_n.n:
-        raise InvalidParameterError("matrix dimensions disagree")
-    n = e_n.n
+    n = common_size(e_r, e_n)
     threshold = conic.acceptance_window(d)
     keys = np.sort(np.concatenate([e_r.codes, e_n.codes]))
     keys = keys[np.diff(keys, prepend=-1) != 0]

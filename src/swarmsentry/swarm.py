@@ -151,30 +151,17 @@ class PairDistances:
     aligned entry by entry: ``src`` and ``dst`` (intp) name the pair and
     ``r`` (float) is its distance.
 
-    Built from a dict ``{(i, j): r}`` (entries in the dict's order; the
-    dict is then ``entries``) or with ``from_arrays``; both give this one
-    representation.  Every id must be an integer (numpy's too, never a
-    bool), each pair two distinct ids in [0, n), and no pair may repeat;
-    the first entry that breaks a rule is named.  ``entries``, the
-    ``{(i, j): r}`` dict in entry order, is a view built on first use.
-    A set is immutable once built (``entries`` must not change either).
+    ``PairDistances(n, src, dst, r)`` is the set whose k-th entry is
+    ``(src[k], dst[k]) -> r[k]``, from integer id arrays (or sequences of
+    integer ids) and distances.  ``n`` must be a nonnegative integer.  Every
+    id must be an integer (numpy's too, never a bool), each pair two
+    distinct ids in [0, n), and no pair may repeat; the first entry that
+    breaks a rule is named.  A set is immutable once built.
     """
 
-    def __init__(self, n: int, entries: dict | None = None):
-        entries = {} if entries is None else entries
-        src, dst = zip(*entries) if entries else ((), ())
-        self._store(n, src, dst, tuple(entries.values()))
-        self.__dict__["entries"] = entries
-
-    @classmethod
-    def from_arrays(cls, n: int, src, dst, r):
-        """The set whose k-th entry is ``(src[k], dst[k]) -> r[k]``, from
-        integer id arrays (or sequences of integer ids) and distances."""
-        pairs = cls.__new__(cls)
-        pairs._store(n, src, dst, r)
-        return pairs
-
-    def _store(self, n: int, src, dst, r) -> None:
+    def __init__(self, n: int, src, dst, r):
+        if not (_is_id(n) and n >= 0):
+            raise InvalidParameterError(f"n must be a nonnegative integer, got {n!r}")
         if not len(src) == len(dst) == len(r):
             raise InvalidParameterError("a set needs one source, destination and distance per entry")
         self.n = n
@@ -216,13 +203,6 @@ class PairDistances:
         """The entries sorted by (src, dst): one stable sort of ``codes``."""
         return np.argsort(self.codes, kind="stable")
 
-    @cached_property
-    def entries(self) -> dict[tuple[int, int], float]:
-        return dict(zip(zip(self.src.tolist(), self.dst.tolist()), self.r.tolist()))
-
-    def get(self, i: int, j: int) -> float:
-        return self.entries[(i, j)]
-
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """The distance of each pair code in ``codes``, inf for pairs the set
         lacks."""
@@ -260,9 +240,8 @@ class MeasurementSet(PairDistances):
     adjacency indicator is entry presence; ``neighbor_set`` symmetrizes it.
     Every distance must be positive and finite.  Stages that change claims
     build new arrays and one new set from them (``measure_distances`` once,
-    each attack phase once).  ``entries`` and ``adjacency`` are views of
-    the arrays, each built on first use; ``order`` and
-    ``row_start`` index the claims by source (a CSR index).
+    each attack phase once).  ``order`` and ``row_start`` index the claims
+    by source (a CSR index).
     """
 
     def _bad_values(self) -> np.ndarray:
@@ -273,23 +252,6 @@ class MeasurementSet(PairDistances):
         """CSR row offsets over ``order``: the claims of source i are
         ``order[row_start[i]:row_start[i + 1]]``."""
         return np.searchsorted(self.src[self.order], np.arange(self.n + 1))
-
-    def directed_pairs(self) -> list[tuple[int, int, float]]:
-        """All (i, j, r) triplets in sorted pair order."""
-        o = self.order
-        return list(zip(self.src[o].tolist(), self.dst[o].tolist(), self.r[o].tolist()))
-
-    @cached_property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        """Id -> its one-hop neighbors in either direction (ids without
-        entries are absent)."""
-        ends = np.concatenate([self.src, self.dst])
-        order = np.argsort(ends, kind="stable")
-        ends, others = ends[order], np.concatenate([self.dst, self.src])[order].tolist()
-        # One run of equal ends per id.
-        start = np.flatnonzero(np.diff(ends, prepend=-1)).tolist()
-        ids = ends[start].tolist()
-        return {k: frozenset(others[a:b]) for k, a, b in zip(ids, start, start[1:] + [len(others)])}
 
 
 def generate_swarm(n: int, cube_half_width: float, comm_range: float, seed: int) -> Swarm:
@@ -359,12 +321,12 @@ def measure_distances(swarm: Swarm, params: NoiseParams, seed: int) -> Measureme
         src.append(i + a)
         dst.append(j)
         r.append(dist[i, j])
-    return MeasurementSet.from_arrays(n, np.concatenate(src), np.concatenate(dst),
-                                      np.maximum(np.concatenate(r), DISTANCE_FLOOR))
+    return MeasurementSet(n, np.concatenate(src), np.concatenate(dst), np.maximum(np.concatenate(r), DISTANCE_FLOOR))
 
 
 def neighbor_set(measurements: MeasurementSet, k: int) -> frozenset[int]:
     """One-hop neighbors of k: union of both measurement directions."""
-    if not 0 <= k < measurements.n:
-        raise InvalidParameterError(f"UAV id {k} out of range [0, {measurements.n})")
-    return measurements.adjacency.get(k, frozenset())
+    if not (_is_id(k) and 0 <= k < measurements.n):
+        raise InvalidParameterError(f"UAV id must be an integer in [0, {measurements.n}), got {k!r}")
+    src, dst = measurements.src, measurements.dst
+    return frozenset(dst[src == k].tolist()) | frozenset(src[dst == k].tolist())

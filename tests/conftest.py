@@ -30,3 +30,9 @@ def hand_swarm(positions, d: float = 0.3) -> ss.Swarm:
     pts = np.asarray(positions, dtype=float)
     uavs = tuple(ss.Uav(i, pts[i], pts[i]) for i in range(len(pts)))
     return ss.Swarm(uavs, comm_range=d, cube_half_width=0.5, rng_seed=0)
+
+
+def pair_set(n: int, entries: dict, cls=ss.MeasurementSet):
+    """The set of ``n`` UAVs whose k-th entry is the k-th item of the
+    ``{(i, j): r}`` dict ``entries``."""
+    return cls(n, [i for i, _ in entries], [j for _, j in entries], list(entries.values()))

@@ -12,9 +12,10 @@ from swarmsentry.attacks import (
     default_collusion_target,
     select_malicious,
 )
-from swarmsentry.swarm import InvalidParameterError, NoiseParams, measure_distances
+from swarmsentry.swarm import InvalidParameterError, NoiseParams, measure_distances, neighbor_set
 
 from conftest import hand_swarm, make_scenario
+from test_scenario_reference import claim_dict
 
 
 def measured(swarm, dist_var=0.0, seed=0):
@@ -65,9 +66,10 @@ class TestDistributed:
         for u in scen.swarm.uavs:
             if u.id != 1:
                 assert np.array_equal(u.reported_pos, swarm.uavs[u.id].reported_pos)
-        for (i, j), r in ms.entries.items():
+        claims = claim_dict(scen.measurements)
+        for (i, j), r in claim_dict(ms).items():
             if i != 1:
-                assert scen.measurements.entries[(i, j)] == r
+                assert claims[(i, j)] == r
 
     def test_fabricated_claims_consistent_with_fake(self):
         swarm = ss.generate_swarm(20, 0.5, 0.3, seed=4)
@@ -75,7 +77,7 @@ class TestDistributed:
         scen = apply_distributed(swarm, ms, frozenset({2}), seed=4, dist_var=0.0)
         fake = scen.swarm.uavs[2].reported_pos
         reported = scen.swarm.reported_positions()
-        outgoing = [(j, r) for (i, j), r in scen.measurements.entries.items() if i == 2]
+        outgoing = [(j, r) for (i, j), r in claim_dict(scen.measurements).items() if i == 2]
         for j, r in outgoing:
             assert r == pytest.approx(float(np.linalg.norm(fake - reported[j])), abs=1e-12)
             assert r <= 0.3 + 1e-12
@@ -86,9 +88,9 @@ class TestDistributed:
         # separation by more than the (d/2)^2 window.
         swarm = hand_swarm([[0.0, 0.0, 0.0], [0.05, 0.0, 0.0], [0.45, 0.45, 0.45], [-0.45, -0.45, 0.45]])
         ms = measured(swarm)
-        assert (1, 0) in ms.entries
+        assert (1, 0) in claim_dict(ms)
         scen = apply_distributed(swarm, ms, frozenset({0}), fake_offset_min=0.3, seed=1, dist_var=0.0)
-        claim = scen.measurements.entries[(1, 0)]
+        claim = claim_dict(scen.measurements)[(1, 0)]
         separation = float(np.linalg.norm(scen.swarm.uavs[1].reported_pos - scen.swarm.uavs[0].reported_pos))
         assert abs(claim**2 - separation**2) >= (0.3 / 2) ** 2
 
@@ -102,25 +104,26 @@ class TestCollusion:
         target_pos = scen.swarm.uavs[0].reported_pos
         dist = float(np.linalg.norm(fake - target_pos))
         assert dist <= 0.3 * (1 - COLLUSION_MARGIN) + 1e-12
-        assert scen.measurements.entries[(3, 0)] == pytest.approx(dist, abs=1e-12)
+        assert claim_dict(scen.measurements)[(3, 0)] == pytest.approx(dist, abs=1e-12)
 
     def test_far_colluder_asymmetry(self):
         # Colluder physically out of the target's range: the fabricated claim
         # exists one way only, and that asymmetry is detectable evidence.
         swarm = hand_swarm([[0.0, 0.0, 0.0], [0.45, 0.0, 0.0], [0.1, 0.0, 0.0]])
         ms = measured(swarm)
-        assert (0, 1) not in ms.entries  # true distance 0.45 > d
+        assert (0, 1) not in claim_dict(ms)  # true distance 0.45 > d
         scen = apply_collusion(swarm, ms, frozenset({1}), target=0, seed=2, dist_var=0.0)
-        assert (1, 0) in scen.measurements.entries
-        assert (0, 1) not in scen.measurements.entries
+        assert (1, 0) in claim_dict(scen.measurements)
+        assert (0, 1) not in claim_dict(scen.measurements)
 
     def test_target_honest_measurements_untouched(self):
         swarm = ss.generate_swarm(20, 0.5, 0.3, seed=6)
         ms = measured(swarm)
         scen = apply_collusion(swarm, ms, frozenset({4, 9}), target=1, seed=6)
-        for (i, j), r in ms.entries.items():
+        claims = claim_dict(scen.measurements)
+        for (i, j), r in claim_dict(ms).items():
             if i == 1:
-                assert scen.measurements.entries[(i, j)] == r
+                assert claims[(i, j)] == r
 
     def test_validation(self):
         swarm = ss.generate_swarm(10, 0.5, 0.3, seed=0)
@@ -138,7 +141,7 @@ class TestMixed:
         mixed = apply_mixed(swarm, ms, frozenset({2, 5}), frozenset(), target=0, seed=7)
         plain = apply_distributed(swarm, ms, frozenset({2, 5}), seed=7)
         assert np.array_equal(mixed.swarm.reported_positions(), plain.swarm.reported_positions())
-        assert mixed.measurements.entries == plain.measurements.entries
+        assert claim_dict(mixed.measurements) == claim_dict(plain.measurements)
 
     def test_degenerate_collusion_only(self):
         swarm = ss.generate_swarm(15, 0.5, 0.3, seed=7)
@@ -146,7 +149,7 @@ class TestMixed:
         mixed = apply_mixed(swarm, ms, frozenset(), frozenset({2, 5}), target=0, seed=7)
         plain = apply_collusion(swarm, ms, frozenset({2, 5}), target=0, seed=7)
         assert np.array_equal(mixed.swarm.reported_positions(), plain.swarm.reported_positions())
-        assert mixed.measurements.entries == plain.measurements.entries
+        assert claim_dict(mixed.measurements) == claim_dict(plain.measurements)
 
     def test_overlap_rejected(self):
         swarm = ss.generate_swarm(15, 0.5, 0.3, seed=7)
@@ -188,7 +191,7 @@ class TestBuildAttack:
         malicious = select_malicious(swarm, 3, seed=8)
         target = default_collusion_target(swarm, ms, malicious)
         assert target not in malicious
-        degree = lambda k: len(ss.neighbor_set(ms, k))
+        degree = lambda k: len(neighbor_set(ms, k))
         best = max(degree(u.id) for u in swarm.uavs if u.id not in malicious)
         assert degree(target) == best
 

@@ -14,9 +14,9 @@ from swarmsentry.detectors import (
     random_baseline,
 )
 from swarmsentry.suspects import SuspectSets, build_reported_matrix, initial_suspects
-from swarmsentry.swarm import InvalidParameterError
+from swarmsentry.swarm import InvalidParameterError, neighbor_set
 
-from conftest import hand_swarm, honest_scenario, make_scenario
+from conftest import hand_swarm, honest_scenario, make_scenario, pair_set
 
 
 def init_of(scen):
@@ -53,7 +53,7 @@ class TestTrivialCases:
                     dist = float(np.linalg.norm(pos[i] - pos[j]))
                     if dist <= 0.3:
                         entries[(i, j)] = dist
-        scen = ss.AttackedScenario(swarm, ss.MeasurementSet(4, entries))
+        scen = ss.AttackedScenario(swarm, pair_set(4, entries))
         initial = init_of(scen)
         assert set(initial.suspected) == {0, 1}
         for algo in (cdi, ecdi):
@@ -108,7 +108,7 @@ class TestAlgorithmInvariants:
             scen = make_scenario("distributed", 2, seed=seed, n=16)
             initial = init_of(scen)
             hood_max = max(
-                (len(ss.neighbor_set(scen.measurements, k)) for k in range(16)), default=0
+                (len(neighbor_set(scen.measurements, k)) for k in range(16)), default=0
             )
             for algo in (cdi, ecdi):
                 res = algo(initial, scen)
@@ -126,7 +126,7 @@ class TestAlgorithmInvariants:
         entries = {(0, 1): sep, (1, 0): sep}
         bad_claim = 0.29
         entries[(2, 3)] = bad_claim  # asymmetric: suspects {2, 3}
-        scen = ss.AttackedScenario(swarm, ss.MeasurementSet(4, entries))
+        scen = ss.AttackedScenario(swarm, pair_set(4, entries))
         initial = init_of(scen)
         assert set(initial.suspected) == {2, 3}
         res = ecdi(initial, scen)
@@ -135,7 +135,7 @@ class TestAlgorithmInvariants:
     def test_trusted_base_empty_keeps_all(self):
         swarm = hand_swarm([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]])
         entries = {(0, 1): 0.29, (1, 0): 0.29, (0, 2): 0.29, (2, 0): 0.29, (1, 2): 0.29, (2, 1): 0.29}
-        scen = ss.AttackedScenario(swarm, ss.MeasurementSet(3, entries))
+        scen = ss.AttackedScenario(swarm, pair_set(3, entries))
         initial = init_of(scen)
         assert initial.trusted == ()
         res = cdi(initial, scen)
@@ -151,7 +151,7 @@ class TestAlgorithmInvariants:
         scen = make_scenario("distributed", 2, seed=1, n=20)
         initial = init_of(scen)
         assert initial.suspected  # scenario produces live suspects
-        hood_max = max(len(ss.neighbor_set(scen.measurements, k)) for k in range(20))
+        hood_max = max(len(neighbor_set(scen.measurements, k)) for k in range(20))
         for base_ok in (False, True):
             trusted = sdp.id_mask(initial.trusted) if base_ok else None
             monkeypatch.setattr(sdp.ScenarioOracle, "check_mask",
@@ -280,13 +280,20 @@ class TestNlosBaseline:
 
     def test_single_pair_forced(self):
         swarm = hand_swarm([[0, 0, 0], [0.1, 0, 0], [0.5, 0.5, 0.5]])
-        ms = ss.MeasurementSet(3, {(0, 1): 0.1})
+        ms = pair_set(3, {(0, 1): 0.1})
         e_r = build_reported_matrix(ss.AttackedScenario(swarm, ms))
         assert nlos_baseline(e_r, ms, 2, seed=0) == frozenset({0, 1})
 
+    def test_matrices_of_different_swarms_rejected(self):
+        e_r = build_reported_matrix(make_scenario("distributed", 2, seed=0, n=40))
+        e_n = make_scenario("distributed", 2, seed=0, n=30).measurements
+        for m in (0, 4):
+            with pytest.raises(InvalidParameterError, match="^matrix dimensions disagree$"):
+                nlos_baseline(e_r, e_n, m, seed=0)
+
     def test_sample_capped_at_pool(self):
         swarm = hand_swarm([[0, 0, 0], [0.1, 0, 0], [0.5, 0.5, 0.5]])
-        ms = ss.MeasurementSet(3, {(0, 1): 0.1, (1, 0): 0.1})
+        ms = pair_set(3, {(0, 1): 0.1, (1, 0): 0.1})
         e_r = build_reported_matrix(ss.AttackedScenario(swarm, ms))
         assert nlos_baseline(e_r, ms, 10, seed=0) == frozenset({0, 1})
 

@@ -29,7 +29,7 @@ from swarmsentry.detectors import DetectorOptions
 from swarmsentry.suspects import build_reported_matrix, initial_suspects
 from swarmsentry.swarm import neighbor_set
 
-from conftest import hand_swarm, make_scenario
+from conftest import hand_swarm, make_scenario, pair_set
 
 SETTINGS = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -144,7 +144,7 @@ def star(past) -> ss.AttackedScenario:
     entries = {}
     for k in range(1, 5):
         entries[(0, k)] = entries[(k, 0)] = d - 1e-3
-    return ss.AttackedScenario(hand_swarm(positions, d), ss.MeasurementSet(5, entries))
+    return ss.AttackedScenario(hand_swarm(positions, d), pair_set(5, entries))
 
 
 def sub_network(data, scen) -> frozenset[int]:
@@ -333,7 +333,7 @@ class TestScenarioOracle:
             r = r0 + off * float(np.spacing(r0))
             entries[(0, k)] = entries[(k, 0)] = r
         positions = np.vstack([np.zeros(3), D * axes])
-        scen = ss.AttackedScenario(hand_swarm(positions), ss.MeasurementSet(len(positions), entries))
+        scen = ss.AttackedScenario(hand_swarm(positions), pair_set(len(positions), entries))
         oracle = sdp.ScenarioOracle(scen, DetectorOptions())
         for size in range(1, len(offsets) + 1):
             for spokes in itertools.combinations(range(1, len(offsets) + 1), size):

@@ -7,8 +7,9 @@ collected a detection context's evidence (its masks compared as
 ``sdp.id_mask`` of the sets); ``reference_reported`` keeps the per-pair
 ``np.linalg.norm`` of the reported-distance matrix, and ``reference_nlos``,
 ``reference_collusion_target`` and ``reference_adjacency`` the loops of the
-discrepancy baseline, the default collusion target and the neighbor index
-over the entries dict.  ``one_shot_measure`` and ``one_shot_spoof`` keep the
+discrepancy baseline, the default collusion target and the neighbor index,
+each over a set's entries read as a ``{(i, j): r}`` dict (``claim_dict``).
+``one_shot_measure`` and ``one_shot_spoof`` keep the
 whole-array passes that the library now makes a block of rows at a time.
 The library's results must equal them exactly: the same floats, the same
 entry insertion order, the same reports and flags.
@@ -28,13 +29,22 @@ from swarmsentry.detectors import DetectionContext, nlos_baseline
 from swarmsentry.experiments import ExperimentConfig, build_scenario
 from swarmsentry.sdp import id_mask
 from swarmsentry.suspects import ReportedDistanceMatrix, build_reported_matrix, initial_suspects, violating_pairs
-from swarmsentry.swarm import BLOCK_ELEMENTS, DISTANCE_FLOOR, InvalidParameterError, row_blocks, row_norms
+from swarmsentry.swarm import (BLOCK_ELEMENTS, DISTANCE_FLOOR, InvalidParameterError, neighbor_set, row_blocks,
+                               row_norms)
+
+from conftest import pair_set
 
 KINDS = ("distributed", "collusion", "mixed")
 DIST_VARS = (0.0, 1e-6, 1e-3)
 SIZES = ((10, 3), (30, 6))   # (n, attacker count)
 LARGE = (240, 24)
 WIDTHS = (1e-3, 0.5, 5.0)   # cube half-widths; comm range and noise scale with them
+
+
+def claim_dict(pairs):
+    """A set's entries as the ``{(i, j): r}`` dict the reference loops read,
+    in entry order."""
+    return dict(zip(zip(pairs.src.tolist(), pairs.dst.tolist()), pairs.r.tolist()))
 
 
 def reference_measure(swarm, params, seed):
@@ -63,7 +73,7 @@ def one_shot_measure(swarm, params, seed):
         rng = seeds.stream(seed, seeds.DIST_NOISE)
         dist = dist + rng.normal(0.0, np.sqrt(params.dist_var), size=(swarm.n, swarm.n))
     i, j = np.nonzero(in_range)
-    return ss.MeasurementSet.from_arrays(swarm.n, i, j, np.maximum(dist[i, j], DISTANCE_FLOOR))
+    return ss.MeasurementSet(swarm.n, i, j, np.maximum(dist[i, j], DISTANCE_FLOOR))
 
 
 def one_shot_spoof(swarm, measurements, fakes, dist_var, rng, target=None):
@@ -83,7 +93,7 @@ def one_shot_spoof(swarm, measurements, fakes, dist_var, rng, target=None):
     is_attacker = np.zeros(swarm.n, dtype=bool)
     is_attacker[attackers] = True
     keep = ~is_attacker[measurements.src]
-    return attacked, ss.MeasurementSet.from_arrays(
+    return attacked, ss.MeasurementSet(
         swarm.n,
         np.concatenate([measurements.src[keep], attackers[row]]),
         np.concatenate([measurements.dst[keep], js]),
@@ -121,7 +131,7 @@ def reference_attack(swarm, ms, kind, m, seed, dist_var):
     """``build_attack`` with default offset and target, UAV by UAV."""
     malicious = attacks.select_malicious(swarm, m, seed)
     ordered = sorted(malicious)
-    uavs, entries = list(swarm.uavs), dict(ms.entries)
+    uavs, entries = list(swarm.uavs), claim_dict(ms)
     if not ordered:
         return uavs, entries
     d, w = swarm.comm_range, swarm.cube_half_width
@@ -153,37 +163,39 @@ def reference_attack(swarm, ms, kind, m, seed, dist_var):
 
 def reference_violating_pairs(e_r, e_n, d, window=None):
     threshold = (d / 2.0) ** 2 if window is None else window
+    reported, claimed = claim_dict(e_r), claim_dict(e_n)
     out = []
-    for (i, j) in sorted(set(e_r.entries) | set(e_n.entries)):
-        in_r, in_n = (i, j) in e_r.entries, (i, j) in e_n.entries
-        if in_r != in_n or (j, i) not in e_n.entries:
+    for (i, j) in sorted(set(reported) | set(claimed)):
+        in_r, in_n = (i, j) in reported, (i, j) in claimed
+        if in_r != in_n or (j, i) not in claimed:
             out.append((i, j))
-        elif abs(e_n.get(i, j) ** 2 - e_r.get(i, j) ** 2) >= threshold:
+        elif abs(claimed[(i, j)] ** 2 - reported[(i, j)] ** 2) >= threshold:
             out.append((i, j))
     return out
 
 
 def reference_reported(scenario):
     pos = scenario.swarm.reported_positions()
-    return {(i, j): float(np.linalg.norm(pos[i] - pos[j])) for (i, j) in scenario.measurements.entries}
+    return {(i, j): float(np.linalg.norm(pos[i] - pos[j])) for (i, j) in claim_dict(scenario.measurements)}
 
 
 def reference_evidence(scenario, window=None):
     ms, n, d = scenario.measurements, scenario.n, scenario.swarm.comm_range
     pos = scenario.swarm.reported_positions()
-    e_r = ReportedDistanceMatrix(n, reference_reported(scenario))
+    e_r = pair_set(n, reference_reported(scenario), ReportedDistanceMatrix)
     evidence = {k: 0 for k in range(n)}
     for (i, j) in reference_violating_pairs(e_r, ms, d, window):
         evidence[i] += 1
         evidence[j] += 1
     accusers = {k: set() for k in range(n)}
     claimants = set()
-    for (i, j) in ms.entries:
+    claims = claim_dict(ms)
+    for (i, j) in claims:
         accusers[j].add(i)
         claimants.add(i)
     window = (d / 2.0) ** 2 if window is None else window
     conflicting = {k: set() for k in range(n)}
-    for (i, j), r in ms.entries.items():
+    for (i, j), r in claims.items():
         gap_sq = float(((pos[i] - pos[j]) ** 2).sum())
         if gap_sq >= d * d + window or abs(r * r - gap_sq) >= window:
             conflicting[j].add(i)
@@ -209,9 +221,10 @@ def assert_evidence_masks(ctx, expected, adjacency):
 def reference_nlos(e_r, e_n, m, seed):
     if m <= 0:
         return frozenset()
+    reported = claim_dict(e_r)
     scored = []
-    for (i, j), r in e_n.entries.items():
-        gap = abs(r * r - e_r.entries[(i, j)] ** 2) if (i, j) in e_r.entries else np.inf
+    for (i, j), r in claim_dict(e_n).items():
+        gap = abs(r * r - reported[(i, j)] ** 2) if (i, j) in reported else np.inf
         scored.append((-gap, i, j))
     scored.sort()
     pool: list[int] = []
@@ -231,7 +244,7 @@ def reference_nlos(e_r, e_n, m, seed):
 
 def reference_adjacency(ms):
     adj: dict[int, set[int]] = {}
-    for (i, j) in ms.entries:
+    for (i, j) in claim_dict(ms):
         adj.setdefault(i, set()).add(j)
         adj.setdefault(j, set()).add(i)
     return {k: frozenset(v) for k, v in adj.items()}
@@ -268,7 +281,7 @@ def attacked(kind, n, m, seed, dist_var, w=0.5):
 def test_measure_matches_reference(n, dist_var):
     swarm, noise = honest(n, 3, dist_var)
     got = ss.measure_distances(swarm, noise, seed=3)
-    assert list(got.entries.items()) == list(reference_measure(swarm, noise, 3).items())
+    assert list(claim_dict(got).items()) == list(reference_measure(swarm, noise, 3).items())
 
 
 @pytest.mark.parametrize("dist_var", DIST_VARS)
@@ -310,7 +323,7 @@ def test_attack_matches_reference(kind, dist_var, n, m, w=0.5):
         ms = ss.measure_distances(swarm, noise, seed=seed)
         scen = ss.build_attack(swarm, ms, kind, m, seed=seed, dist_var=dist_var)
         uavs, entries = reference_attack(swarm, ms, kind, m, seed, dist_var)
-        assert list(scen.measurements.entries.items()) == list(entries.items())
+        assert list(claim_dict(scen.measurements).items()) == list(entries.items())
         assert np.array_equal(scen.swarm.reported_positions(), np.array([u.reported_pos for u in uavs]))
         assert [u.ground_truth_malicious for u in scen.swarm.uavs] == [u.ground_truth_malicious for u in uavs]
         assert scen.truth() == attacks.select_malicious(swarm, m, seed)
@@ -330,13 +343,13 @@ def test_spoof_matches_reference(n, dist_var, w=0.5):
         attacked, got = attacks._spoof(swarm, ms, fakes, dist_var, np.random.default_rng(9), target)
         uavs = [replace(u, reported_pos=fakes[u.id], ground_truth_malicious=True) if u.id in fakes else u
                 for u in swarm.uavs]
-        entries = reference_claims(uavs, dict(ms.entries), ids, swarm.comm_range, dist_var,
+        entries = reference_claims(uavs, claim_dict(ms), ids, swarm.comm_range, dist_var,
                                    np.random.default_rng(9), target)
-        assert list(got.entries.items()) == list(entries.items())
+        assert list(claim_dict(got).items()) == list(entries.items())
         assert np.array_equal(attacked.reported_positions(), np.array([u.reported_pos for u in uavs]))
         assert attacked.malicious_ids() == frozenset(ids)
         if target is not None:
-            assert all((k, target) in got.entries for k in ids)
+            assert all((k, target) in claim_dict(got) for k in ids)
 
 
 @pytest.mark.parametrize("w", WIDTHS)
@@ -358,7 +371,7 @@ def test_spoof_matches_reference_at_scale(dist_var, w):
 def test_reported_matrix_matches_reference(kind, n, m, w):
     for seed in (1, 2):
         scen = attacked(kind, n, m, seed, 1e-6, w)
-        assert list(build_reported_matrix(scen).entries.items()) == list(reference_reported(scen).items())
+        assert list(claim_dict(build_reported_matrix(scen)).items()) == list(reference_reported(scen).items())
 
 
 @pytest.mark.parametrize("w", WIDTHS)
@@ -383,7 +396,7 @@ def test_evidence_matches_reference(kind, dist_var, n, m, w=0.5):
 
 def test_evidence_without_measurements():
     swarm, _ = honest(5, 1, 0.0)
-    ctx = DetectionContext(ss.AttackedScenario(swarm, ss.MeasurementSet(5, {})))
+    ctx = DetectionContext(ss.AttackedScenario(swarm, pair_set(5, {})))
     assert ctx.evidence == {k: 0 for k in range(5)}
     assert ctx.accuser_mask == ctx.conflicting_mask == ctx.hood_mask == [0] * 5
     assert ctx.unvouched_mask == 0
@@ -393,10 +406,10 @@ def test_evidence_without_measurements():
 def test_violating_pairs_with_keys_the_measurements_lack(kind):
     scen = attacked(kind, 20, 4, 4, 1e-6)
     ms, d = scen.measurements, scen.swarm.comm_range
-    reported = DetectionContext(scen).reported.entries
+    reported = claim_dict(DetectionContext(scen).reported)
     missing = next(iter(reported))
-    extra = next((i, j) for i in range(20) for j in range(20) if i != j and (i, j) not in ms.entries)
-    e_r = ReportedDistanceMatrix(20, {**{k: v for k, v in reported.items() if k != missing}, extra: 0.1})
+    extra = next((i, j) for i in range(20) for j in range(20) if i != j and (i, j) not in claim_dict(ms))
+    e_r = pair_set(20, {**{k: v for k, v in reported.items() if k != missing}, extra: 0.1}, ReportedDistanceMatrix)
     got = violating_pairs(e_r, ms, d)
     assert got == reference_violating_pairs(e_r, ms, d)
     assert extra in got and missing in got
@@ -416,7 +429,8 @@ def test_baselines_and_views_match_reference(kind, n, m):
         ms, e_r = scen.measurements, build_reported_matrix(scen)
         for count in (0, 1, m, n):
             assert nlos_baseline(e_r, ms, count, seed) == reference_nlos(e_r, ms, count, seed)
-        assert ms.adjacency == reference_adjacency(ms)
+        hoods = {k: neighbor_set(ms, k) for k in range(n)}
+        assert {k: hood for k, hood in hoods.items() if hood} == reference_adjacency(ms)
 
 
 def test_nlos_ties_and_missing_pairs():
@@ -424,21 +438,21 @@ def test_nlos_ties_and_missing_pairs():
     # reported distance, so its gap is infinite and it ranks first.
     claims = {(3, 2): 0.5, (4, 5): 0.3, (0, 1): 0.5, (1, 2): 0.2, (5, 4): 0.3, (2, 3): 0.5, (1, 0): 0.5}
     reported = {(0, 1): 0.4, (1, 0): 0.4, (2, 3): 0.4, (3, 2): 0.4, (4, 5): 0.3, (5, 4): 0.3}
-    e_n, e_r = ss.MeasurementSet(6, claims), ReportedDistanceMatrix(6, reported)
+    e_n, e_r = pair_set(6, claims), pair_set(6, reported, ReportedDistanceMatrix)
     for seed in range(6):
         for count in range(8):   # up to and past the pool's six ids
             got = nlos_baseline(e_r, e_n, count, seed)
             assert got == reference_nlos(e_r, e_n, count, seed)
             assert len(got) == min(count, 6)
     assert nlos_baseline(e_r, e_n, 2, 0) <= {0, 1, 2}   # (1, 2) first, then (0, 1)
-    assert nlos_baseline(e_r, ss.MeasurementSet(6, {}), 3, 0) == frozenset()
+    assert nlos_baseline(e_r, pair_set(6, {}), 3, 0) == frozenset()
 
 
 def test_collusion_target_ties():
     swarm, _ = honest(6, 1, 0.0)
-    ring = ss.MeasurementSet(6, {(k, (k + 1) % 6): 0.1 for k in range(6)})   # every degree is 2
-    star = ss.MeasurementSet(6, {(0, 4): 0.1, (4, 0): 0.1, (3, 5): 0.1, (2, 5): 0.1, (4, 1): 0.1})
-    for ms in (ring, star, ss.MeasurementSet(6, {})):
+    ring = pair_set(6, {(k, (k + 1) % 6): 0.1 for k in range(6)})   # every degree is 2
+    star = pair_set(6, {(0, 4): 0.1, (4, 0): 0.1, (3, 5): 0.1, (2, 5): 0.1, (4, 1): 0.1})
+    for ms in (ring, star, pair_set(6, {})):
         for ids in (frozenset(), frozenset({0}), frozenset({0, 1, 4}), frozenset({0, 1, 2, 3, 4})):
             assert attacks.default_collusion_target(swarm, ms, ids) == reference_collusion_target(swarm, ms, ids)
         with pytest.raises(InvalidParameterError, match="no benign UAV"):
@@ -452,7 +466,7 @@ def test_nlos_gaps_squared_as_python_squares():
     # ``x * x`` (2, 3) would.
     x, r_a, y, r_b = 0.14518749997824568, 0.21778124996736853, 0.17439656210487275, 0.23825075773523807
     assert abs(r_a * r_a - x ** 2) == abs(r_b * r_b - y ** 2) != abs(r_a * r_a - x * x)
-    e_n = ss.MeasurementSet(4, {(2, 3): r_a, (0, 1): r_b})
-    e_r = ReportedDistanceMatrix(4, {(2, 3): x, (0, 1): y})
+    e_n = pair_set(4, {(2, 3): r_a, (0, 1): r_b})
+    e_r = pair_set(4, {(2, 3): x, (0, 1): y}, ReportedDistanceMatrix)
     picks = [nlos_baseline(e_r, e_n, 1, seed) for seed in range(8)]
     assert picks == [reference_nlos(e_r, e_n, 1, seed) for seed in range(8)]

@@ -12,6 +12,7 @@ from swarmsentry.cli import main
 from swarmsentry.sdp import assemble, check_feasibility
 
 from conftest import make_scenario
+from test_scenario_reference import claim_dict
 
 DATA = Path(__file__).parent / "data"
 
@@ -24,7 +25,7 @@ class TestRoundTrips:
         assert back.swarm.n == scen.swarm.n
         assert np.array_equal(back.swarm.reported_positions(), scen.swarm.reported_positions())
         assert np.array_equal(back.swarm.true_positions(), scen.swarm.true_positions())
-        assert back.measurements.entries == scen.measurements.entries
+        assert claim_dict(back.measurements) == claim_dict(scen.measurements)
         assert back.plan == scen.plan
         assert back.truth() == scen.truth()
 
@@ -153,7 +154,7 @@ class TestDecoderTypes:
         scenario = serialize.scenario_from_dict(data)
         assert scenario.swarm.uavs[0].ground_truth_malicious is False
         assert scenario.swarm.comm_range == 1.0 and type(scenario.swarm.comm_range) is float
-        assert scenario.measurements.get(i, j) == 2.0 and type(scenario.measurements.get(i, j)) is float
+        assert claim_dict(scenario.measurements)[(i, j)] == 2.0 and scenario.measurements.r.dtype == np.float64
 
 
 class TestProblemDecoderTypes:
@@ -371,9 +372,9 @@ class TestCli:
 
     def test_repeated_pair_named_in_entry_order(self):
         with pytest.raises(ss.InvalidParameterError, match=r"^repeated measurement pair \(2, 0\)$"):
-            ss.MeasurementSet.from_arrays(3, [2, 0, 1, 2, 0], [0, 1, 2, 0, 1], [0.1, 0.2, 0.3, 0.4, 0.5])
+            ss.MeasurementSet(3, [2, 0, 1, 2, 0], [0, 1, 2, 0, 1], [0.1, 0.2, 0.3, 0.4, 0.5])
         with pytest.raises(ss.InvalidParameterError, match=r"^bad measurement pair \(1, 1\)$"):
-            ss.MeasurementSet.from_arrays(3, [2, 1, 2], [0, 1, 0], [0.1, 0.2, 0.3])
+            ss.MeasurementSet(3, [2, 1, 2], [0, 1, 0], [0.1, 0.2, 0.3])
 
     def test_attack_rejects_measurements_of_another_swarm(self, tmp_path):
         small, large = tmp_path / "n10.json", tmp_path / "n12.json"

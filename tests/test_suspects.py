@@ -10,37 +10,39 @@ from swarmsentry.suspects import (
     initial_suspects,
     violation_counts,
 )
-from swarmsentry.swarm import InvalidParameterError, MeasurementSet
+from swarmsentry.swarm import InvalidParameterError
 
-from conftest import hand_swarm, honest_scenario, make_scenario
+from conftest import hand_swarm, honest_scenario, make_scenario, pair_set
+from test_scenario_reference import claim_dict
 
 
 def scenario_from(swarm, entries):
-    return ss.AttackedScenario(swarm, MeasurementSet(swarm.n, entries))
+    return ss.AttackedScenario(swarm, pair_set(swarm.n, entries))
 
 
 class TestReportedMatrix:
     def test_empty(self):
         swarm = ss.generate_swarm(4, 0.5, 0.3, seed=0)
         e_r = build_reported_matrix(scenario_from(swarm, {}))
-        assert e_r.entries == {}
+        assert claim_dict(e_r) == {}
 
     def test_zero_noise_matches_measurements(self):
         scen = honest_scenario(seed=3, pos_var=0.0, dist_var=0.0)
         e_r = build_reported_matrix(scen)
-        assert set(e_r.entries) == set(scen.measurements.entries)
-        for key, val in e_r.entries.items():
-            assert val == pytest.approx(scen.measurements.entries[key], abs=1e-14)
+        reported, claims = claim_dict(e_r), claim_dict(scen.measurements)
+        assert set(reported) == set(claims)
+        for key, val in reported.items():
+            assert val == pytest.approx(claims[key], abs=1e-14)
 
     def test_hand_instance(self):
         # 4 UAVs on a known rectangle: distances checked by hand.
         swarm = hand_swarm([[0, 0, 0], [0.3, 0, 0], [0, 0.4, 0], [0.3, 0.4, 0]], d=0.5)
         entries = {(0, 1): 0.3, (0, 2): 0.4, (0, 3): 0.5, (2, 1): 0.5}
-        e_r = build_reported_matrix(scenario_from(swarm, entries))
-        assert e_r.entries[(0, 1)] == pytest.approx(0.3)
-        assert e_r.entries[(0, 2)] == pytest.approx(0.4)
-        assert e_r.entries[(0, 3)] == pytest.approx(0.5)  # 3-4-5 triangle
-        assert e_r.entries[(2, 1)] == pytest.approx(0.5)
+        reported = claim_dict(build_reported_matrix(scenario_from(swarm, entries)))
+        assert reported[(0, 1)] == pytest.approx(0.3)
+        assert reported[(0, 2)] == pytest.approx(0.4)
+        assert reported[(0, 3)] == pytest.approx(0.5)  # 3-4-5 triangle
+        assert reported[(2, 1)] == pytest.approx(0.5)
 
 
 class TestInitialSuspects:
@@ -85,7 +87,7 @@ class TestInitialSuspects:
         swarm = hand_swarm([[0, 0, 0], [0.1, 0, 0]])
         e_r = build_reported_matrix(scenario_from(swarm, {}))
         with pytest.raises(InvalidParameterError):
-            initial_suspects(e_r, MeasurementSet(3, {}), 0.3)
+            initial_suspects(e_r, pair_set(3, {}), 0.3)
 
     def test_attacked_scenario_flags_attackers(self):
         scen = make_scenario("distributed", 3, seed=5)
@@ -93,7 +95,7 @@ class TestInitialSuspects:
         sets = initial_suspects(e_r, scen.measurements, 0.3)
         observed = {
             m for m in scen.truth()
-            if any(j == m or i == m for (i, j) in scen.measurements.entries)
+            if any(j == m or i == m for (i, j) in claim_dict(scen.measurements))
         }
         assert observed <= set(sets.suspected)
 
@@ -136,7 +138,7 @@ class TestInitializationSoundness:
                     displaced = float(np.linalg.norm(u.reported_pos - u.true_pos)) >= 0.3
                     edged = any(
                         mal in pair and (pair[0] in benign or pair[1] in benign)
-                        for pair in scen.measurements.entries
+                        for pair in claim_dict(scen.measurements)
                     )
                     if displaced and edged:
                         checked += 1

@@ -7,7 +7,14 @@ import swarmsentry as ss
 from swarmsentry import serialize
 from swarmsentry.swarm import DISTANCE_FLOOR, InvalidParameterError, neighbor_set
 
-from conftest import honest_scenario, make_scenario
+from conftest import honest_scenario, make_scenario, pair_set
+from test_scenario_reference import claim_dict
+
+
+def sorted_triplets(ms):
+    """All (i, j, r) triplets in sorted pair order, read through ``order``."""
+    o = ms.order
+    return list(zip(ms.src[o].tolist(), ms.dst[o].tolist(), ms.r[o].tolist()))
 
 
 class TestGenerateSwarm:
@@ -80,32 +87,34 @@ class TestMeasureDistances:
         swarm = ss.generate_swarm(10, 0.5, 0.3, seed=5)
         ms = ss.measure_distances(swarm, ss.NoiseParams(0.0, 0.0), seed=5)
         pos = swarm.true_positions()
-        for (i, j), r in ms.entries.items():
+        for (i, j), r in claim_dict(ms).items():
             assert r == pytest.approx(float(np.linalg.norm(pos[i] - pos[j])), abs=1e-15)
 
     def test_range_gating(self):
         swarm = ss.generate_swarm(30, 0.5, 0.3, seed=6)
         ms = ss.measure_distances(swarm, ss.NoiseParams(0.0, 0.0), seed=6)
         pos = swarm.true_positions()
+        claims = claim_dict(ms)
         for i in range(30):
             for j in range(30):
                 if i == j:
                     continue
                 dist = float(np.linalg.norm(pos[i] - pos[j]))
-                assert ((i, j) in ms.entries) == (dist <= 0.3)
+                assert ((i, j) in claims) == (dist <= 0.3)
 
     def test_symmetry_under_zero_noise(self):
         swarm = ss.generate_swarm(20, 0.5, 0.3, seed=2)
         ms = ss.measure_distances(swarm, ss.NoiseParams(0.0, 0.0), seed=2)
-        for (i, j), r in ms.entries.items():
-            assert (j, i) in ms.entries
-            assert ms.entries[(j, i)] == pytest.approx(r, abs=1e-15)
+        claims = claim_dict(ms)
+        for (i, j), r in claims.items():
+            assert (j, i) in claims
+            assert claims[(j, i)] == pytest.approx(r, abs=1e-15)
 
     def test_entries_positive(self):
         # Extreme noise cannot push a stored distance to or below zero.
         swarm = ss.generate_swarm(20, 0.5, 0.3, seed=2)
         ms = ss.measure_distances(swarm, ss.NoiseParams(0.0, 1.0), seed=2)
-        assert all(r >= DISTANCE_FLOOR for r in ms.entries.values())
+        assert all(r >= DISTANCE_FLOOR for r in ms.r.tolist())
 
     def test_mean_degree_matches_geometric_oracle(self):
         # Independent oracle: Monte-Carlo estimate of the probability that
@@ -120,7 +129,7 @@ class TestMeasureDistances:
         for seed in range(100):
             swarm = ss.generate_swarm(30, 0.5, 0.3, seed=seed)
             ms = ss.measure_distances(swarm, ss.NoiseParams(0.0, 0.0), seed=seed)
-            degrees.append(len(ms.entries) / 30)
+            degrees.append(len(ms.r) / 30)
         measured = float(np.mean(degrees))
         assert abs(measured - expected_degree) / expected_degree < 0.25
 
@@ -128,22 +137,28 @@ class TestMeasureDistances:
         swarm = ss.generate_swarm(15, 0.5, 0.3, seed=11)
         a = ss.measure_distances(swarm, ss.NoiseParams(1e-6, 1e-6), seed=11)
         b = ss.measure_distances(swarm, ss.NoiseParams(1e-6, 1e-6), seed=11)
-        assert a.entries == b.entries
+        assert claim_dict(a) == claim_dict(b)
 
 
 class TestNeighborSet:
     def test_empty(self):
-        ms = ss.MeasurementSet(4, {})
+        ms = pair_set(4, {})
         assert neighbor_set(ms, 1) == frozenset()
 
     def test_symmetrization(self):
-        ms = ss.MeasurementSet(4, {(1, 2): 0.1, (3, 1): 0.2})
-        assert neighbor_set(ms, 1) == {2, 3}
+        ms = pair_set(4, {(1, 2): 0.1, (3, 1): 0.2})
+        assert neighbor_set(ms, 1) == neighbor_set(ms, np.int64(1)) == neighbor_set(ms, np.int32(1)) == {2, 3}
 
     def test_out_of_range_id(self):
-        ms = ss.MeasurementSet(4, {})
+        ms = pair_set(4, {})
         with pytest.raises(InvalidParameterError):
             neighbor_set(ms, 4)
+
+    @pytest.mark.parametrize("k", [True, 1.0, np.float64(1.0), "1"], ids=["bool", "float", "numpy-float", "string"])
+    def test_non_integer_id_rejected(self, k):
+        ms = pair_set(4, {(1, 2): 0.1, (3, 1): 0.2})
+        with pytest.raises(InvalidParameterError, match="UAV id must be an integer"):
+            neighbor_set(ms, k)
 
     def test_matches_bruteforce_distances(self):
         swarm = ss.generate_swarm(5, 0.5, 0.3, seed=9)
@@ -164,8 +179,8 @@ class TestPairIndex:
                            st.floats(0.01, 1.0), max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_matches_a_full_scan(self, entries):
-        ms = ss.MeasurementSet(8, entries)
-        assert ms.directed_pairs() == [(i, j, entries[(i, j)]) for (i, j) in sorted(entries)]
+        ms = pair_set(8, entries)
+        assert sorted_triplets(ms) == [(i, j, entries[(i, j)]) for (i, j) in sorted(entries)]
         for k in range(8):
             scan = {j for (i, j) in entries if i == k} | {i for (i, j) in entries if j == k}
             assert neighbor_set(ms, k) == scan
@@ -175,7 +190,7 @@ class TestPairIndex:
     def test_assemble_keeps_sorted_member_pairs(self, sub):
         scen = make_scenario("mixed", 4, seed=5)
         pairs = ss.assemble(sub, scen).constraint_pairs
-        assert list(pairs) == [t for t in scen.measurements.directed_pairs() if t[0] in sub and t[1] in sub]
+        assert list(pairs) == [t for t in sorted_triplets(scen.measurements) if t[0] in sub and t[1] in sub]
 
 
 def test_pipeline_zero_noise_consistency():
@@ -183,15 +198,15 @@ def test_pipeline_zero_noise_consistency():
     # distances exactly for every stored pair.
     scen = honest_scenario(seed=4, pos_var=0.0, dist_var=0.0)
     pos = scen.swarm.reported_positions()
-    for (i, j), r in scen.measurements.entries.items():
+    for (i, j), r in claim_dict(scen.measurements).items():
         assert abs(r - float(np.linalg.norm(pos[i] - pos[j]))) < 1e-14
 
 
 @pytest.mark.parametrize("make", [
     lambda: ss.NoiseParams(float("nan"), 1e-6),
     lambda: ss.NoiseParams(1e-6, float("inf")),
-    lambda: ss.MeasurementSet(3, {(0, 1): float("nan")}),
-    lambda: ss.MeasurementSet(3, {(0, 1): float("inf")}),
+    lambda: pair_set(3, {(0, 1): float("nan")}),
+    lambda: pair_set(3, {(0, 1): float("inf")}),
 ])
 def test_non_finite_values_rejected(make):
     with pytest.raises(InvalidParameterError):
@@ -219,7 +234,7 @@ class TestMeasurementValidation:
             "numpy-self-pair", "numpy-out-of-range", "numpy-nan", "beyond-int64"])
     def test_first_bad_entry_named(self, entries, message):
         with pytest.raises(InvalidParameterError) as built:
-            ss.MeasurementSet(3, entries)
+            pair_set(3, entries)
         assert str(built.value) == message
         rows = [[int(i), int(j), float(r)] for (i, j), r in entries.items()]
         with pytest.raises(InvalidParameterError) as decoded:
@@ -228,10 +243,27 @@ class TestMeasurementValidation:
 
     def test_numpy_int_keys_accepted(self):
         entries = {(np.int64(0), np.int64(1)): 0.2, (np.int32(2), np.int32(0)): np.float64(0.1)}
-        assert ss.MeasurementSet(3, entries).entries is entries
+        assert claim_dict(pair_set(3, entries)) == {(0, 1): 0.2, (2, 0): 0.1}
+        ms = ss.MeasurementSet(np.int64(3), np.array([0, 2], dtype=np.int32), np.array([1, 0], dtype=np.uint8),
+                               [0.2, 0.1])
+        assert claim_dict(ms) == {(0, 1): 0.2, (2, 0): 0.1} and ms.src.dtype == ms.dst.dtype == np.intp
+        assert ms.n == 3 and ss.MeasurementSet(0, [], [], []).n == 0
+
+    @pytest.mark.parametrize("n", [3.5, 3.0, True, -1, "3", None, np.float64(3)],
+                             ids=["fraction", "integral-float", "bool", "negative", "string", "none", "numpy-float"])
+    def test_non_integer_or_negative_n_rejected(self, n):
+        with pytest.raises(InvalidParameterError, match=r"^n must be a nonnegative integer, got "):
+            ss.MeasurementSet(n, [0], [1], [0.1])
+        with pytest.raises(InvalidParameterError, match=r"^n must be a nonnegative integer, got "):
+            ss.MeasurementSet(n, [], [], [])
+
+    def test_decoded_negative_n_rejected(self):
+        for entries in ([], [[0, 1, 0.1]]):
+            with pytest.raises(InvalidParameterError, match=r"^n must be a nonnegative integer, got -1$"):
+                serialize.measurements_from_dict({"n": -1, "entries": entries})
 
     @pytest.mark.parametrize("pair", [(0.5, 1), (1, 2.0), ("1", 0), (True, 2), (np.float64(1.0), 0)],
                              ids=["fraction", "integral-float", "string", "bool", "numpy-float"])
     def test_non_integer_ids_rejected(self, pair):
         with pytest.raises(InvalidParameterError, match="measurement ids must be integers"):
-            ss.MeasurementSet(3, {(0, 1): 0.2, pair: 0.1})
+            pair_set(3, {(0, 1): 0.2, pair: 0.1})
